@@ -77,7 +77,6 @@ func TestPublicAPIService(t *testing.T) {
 	cl := multiedge.NewCluster(cfg,
 		multiedge.WithReconnect(3),
 		multiedge.WithHeartbeat(multiedge.Millisecond, 5*multiedge.Millisecond),
-		multiedge.WithSchedQueue(),
 		multiedge.WithTimerWheel(50*multiedge.Microsecond),
 		multiedge.WithSeed(7))
 

@@ -21,7 +21,6 @@ func runFairness(t *testing.T, conns, opsPerConn, size int, qos []core.QoSClass,
 	t.Helper()
 	cfg := cluster.OneLink1G(2)
 	cfg.Seed = 42
-	cfg.Core.SchedQueue = true
 	cfg.Core.QoS = qos
 	cfg.Core.MemBytes = 2*conns*size + (1 << 20)
 	cl := cluster.New(cfg)
@@ -141,7 +140,6 @@ func TestDWFQWeightedShare(t *testing.T) {
 	)
 	cfg := cluster.OneLink1G(2)
 	cfg.Seed = 42
-	cfg.Core.SchedQueue = true
 	cfg.Core.QoS = []core.QoSClass{{Weight: 1}, {Weight: 3}, {Weight: 1}}
 	cl := cluster.New(cfg)
 	server := cl.Nodes[0].EP

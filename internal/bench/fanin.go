@@ -93,8 +93,7 @@ func RunFanin(opts FaninOptions) FaninResult {
 	}
 	cfg := cluster.OneLink1G(1 + clientNodes)
 	cfg.Seed = opts.Seed
-	// The scaled endpoint: O(1) connection scheduler, coalesced timers.
-	cfg.Core.SchedQueue = true
+	// The scaled endpoint: coalesced timers, submission queues.
 	cfg.Core.TimerWheelTick = 50 * sim.Microsecond
 	cfg.Core.UseSQ = true
 	// The default 16 MB address space times hundreds of nodes is real
@@ -286,7 +285,7 @@ func RenderFanin(connCounts []int, opsPerConn, size int, withChaos bool, obsOpts
 		chaosNote = ", loss/dup chaos bursts on"
 	}
 	fmt.Fprintf(&b, "Fan-in scaling: N client conns -> 1 server endpoint, 1L-1G, %d closed-loop ops/conn x %dB\n", opsPerConn, size)
-	fmt.Fprintf(&b, "(mixed eager-write / eager-read / SQ-batch workloads; SchedQueue+TimerWheel+SQ on%s)\n\n", chaosNote)
+	fmt.Fprintf(&b, "(mixed eager-write / eager-read / SQ-batch workloads; TimerWheel+SQ on%s)\n\n", chaosNote)
 	ok = true
 	var base float64
 	for _, n := range connCounts {

@@ -151,7 +151,6 @@ func RunIncast(opts IncastOptions) IncastResult {
 
 	cfg := cluster.OneLink1G(1 + senders)
 	cfg.Seed = opts.Seed
-	cfg.Core.SchedQueue = true
 	cfg.Core.TimerWheelTick = 50 * sim.Microsecond
 	cfg.Core.MemBytes = senders*incastSlots*size + (1 << 20)
 	if opts.CC {
@@ -407,7 +406,6 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 
 	cfg := cluster.TwoLinkUnordered1G(4)
 	cfg.Seed = opts.Seed
-	cfg.Core.SchedQueue = true
 	cfg.Core.TimerWheelTick = 50 * sim.Microsecond
 	if opts.Adaptive {
 		// No ECN here: the scenario is drop- and mark-free by design, so

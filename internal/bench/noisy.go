@@ -99,7 +99,6 @@ type NoisyResult struct {
 func RunNoisy(opts NoisyOptions) NoisyResult {
 	cfg := cluster.OneLink1G(2)
 	cfg.Seed = opts.Seed
-	cfg.Core.SchedQueue = true // both phases run the O(1) scheduler; QoS swaps RR for DWFQ
 	if opts.QoS {
 		cfg.Core.QoS = noisyClasses()
 	}

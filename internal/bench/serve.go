@@ -117,7 +117,6 @@ func RunServe(opts ServeOptions) ServeResult {
 	// composes: supervised reconnect with fast detection, bounded dial
 	// retries, and idle-side liveness so parked sessions notice a dead
 	// replica too.
-	cfg.Core.SchedQueue = true
 	cfg.Core.TimerWheelTick = 50 * sim.Microsecond
 	cfg.Core.UseSQ = true
 	// Detection and failover tuned for heavy incast: thousands of

@@ -233,7 +233,6 @@ func TestFloodReproducible(t *testing.T) {
 	mk := func(seed int64) Options {
 		cfg := cluster.OneLink1G(2)
 		cfg.Core.DeadInterval = 5 * sim.Second
-		cfg.Core.SchedQueue = true
 		cfg.Core.QoS = []core.QoSClass{
 			{Weight: 8},
 			{Weight: 1, RateBps: 100e6, MaxQueued: 32, MaxQueuedBytes: 1 << 20},
@@ -286,7 +285,6 @@ func TestIncastReproducible(t *testing.T) {
 	mk := func(seed int64) Options {
 		cfg := cluster.OneLink1G(10)
 		cfg.Core.DeadInterval = 5 * sim.Second
-		cfg.Core.SchedQueue = true
 		cfg.Core.CongestionControl = core.CCConfig{Enable: true}
 		cfg.EcnThreshold = 16
 		return Options{

@@ -139,9 +139,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cluster %q: ReconnectBackoffMax %v below initial backoff %v",
 			c.Name, c.Core.ReconnectBackoffMax, c.Core.ReconnectBackoff)
 	}
-	if len(c.Core.QoS) > 0 && !c.Core.SchedQueue {
-		return fmt.Errorf("cluster %q: QoS requires SchedQueue (the fair queues extend the FIFO scheduler)", c.Name)
-	}
 	for i, q := range c.Core.QoS {
 		if q.Weight < 1 {
 			return fmt.Errorf("cluster %q: QoS class %d: weight %d must be >= 1 (a zero-weight class would never be served)",
@@ -164,9 +161,6 @@ func (c *Config) Validate() error {
 		}
 	}
 	cc := c.Core.CongestionControl
-	if cc.Enable && !c.Core.SchedQueue {
-		return fmt.Errorf("cluster %q: CongestionControl requires SchedQueue (the window gates the scheduler's transmit slots)", c.Name)
-	}
 	if !cc.Enable && (cc.InitWindow != 0 || cc.MinWindow != 0 || cc.MaxWindow != 0 || cc.Backlog != 0 || cc.ProbeInterval != 0) {
 		return fmt.Errorf("cluster %q: CongestionControl window bounds without Enable do nothing", c.Name)
 	}

@@ -99,9 +99,8 @@ func TestCollectAndSub(t *testing.T) {
 // class table passes, and each malformed knob is rejected with an error
 // naming the offending class and field.
 func TestValidateQoS(t *testing.T) {
-	qosCfg := func(sched bool, classes ...core.QoSClass) Config {
+	qosCfg := func(classes ...core.QoSClass) Config {
 		cfg := OneLink1G(2)
-		cfg.Core.SchedQueue = sched
 		cfg.Core.QoS = classes
 		return cfg
 	}
@@ -111,24 +110,22 @@ func TestValidateQoS(t *testing.T) {
 		wantErr string // substring; "" = must validate
 	}{
 		{"no-qos", OneLink1G(2), ""},
-		{"valid-weights", qosCfg(true, core.QoSClass{Weight: 1}, core.QoSClass{Weight: 8}), ""},
-		{"valid-full-knobs", qosCfg(true, core.QoSClass{Weight: 1},
+		{"valid-weights", qosCfg(core.QoSClass{Weight: 1}, core.QoSClass{Weight: 8}), ""},
+		{"valid-full-knobs", qosCfg(core.QoSClass{Weight: 1},
 			core.QoSClass{Weight: 2, RateBps: 100e6, Burst: 8 << 10, MaxQueued: 16, MaxQueuedBytes: 1 << 20}), ""},
-		{"needs-schedqueue", qosCfg(false, core.QoSClass{Weight: 1}),
-			"QoS requires SchedQueue"},
-		{"zero-weight", qosCfg(true, core.QoSClass{Weight: 1}, core.QoSClass{Weight: 0}),
+		{"zero-weight", qosCfg(core.QoSClass{Weight: 1}, core.QoSClass{Weight: 0}),
 			"QoS class 1: weight 0 must be >= 1"},
-		{"negative-weight", qosCfg(true, core.QoSClass{Weight: -3}),
+		{"negative-weight", qosCfg(core.QoSClass{Weight: -3}),
 			"QoS class 0: weight -3 must be >= 1"},
-		{"negative-rate", qosCfg(true, core.QoSClass{Weight: 1, RateBps: -1}),
+		{"negative-rate", qosCfg(core.QoSClass{Weight: 1, RateBps: -1}),
 			"QoS class 0: negative rate limit -1"},
-		{"negative-burst", qosCfg(true, core.QoSClass{Weight: 1, RateBps: 1e6, Burst: -64}),
+		{"negative-burst", qosCfg(core.QoSClass{Weight: 1, RateBps: 1e6, Burst: -64}),
 			"QoS class 0: negative burst -64"},
-		{"burst-without-rate", qosCfg(true, core.QoSClass{Weight: 1, Burst: 4096}),
+		{"burst-without-rate", qosCfg(core.QoSClass{Weight: 1, Burst: 4096}),
 			"QoS class 0: burst 4096 without a rate limit"},
-		{"negative-op-quota", qosCfg(true, core.QoSClass{Weight: 1, MaxQueued: -2}),
+		{"negative-op-quota", qosCfg(core.QoSClass{Weight: 1, MaxQueued: -2}),
 			"QoS class 0: negative queue quota -2"},
-		{"negative-byte-quota", qosCfg(true, core.QoSClass{Weight: 1, MaxQueuedBytes: -9}),
+		{"negative-byte-quota", qosCfg(core.QoSClass{Weight: 1, MaxQueuedBytes: -9}),
 			"QoS class 0: negative byte quota -9"},
 	}
 	for _, tc := range cases {
@@ -154,13 +151,11 @@ func TestValidateQoS(t *testing.T) {
 // TestValidateCongestionControl covers the congestion-control and
 // fabric knobs Validate checks: well-formed configurations pass, and
 // each malformed knob is rejected with an error naming the offending
-// field — zero/negative window bounds, an ECN threshold the queue
-// could never reach, and congestion control without the scheduler it
-// gates.
+// field — zero/negative window bounds and an ECN threshold the queue
+// could never reach.
 func TestValidateCongestionControl(t *testing.T) {
-	ccCfg := func(sched bool, cc core.CCConfig) Config {
+	ccCfg := func(cc core.CCConfig) Config {
 		cfg := OneLink1G(2)
-		cfg.Core.SchedQueue = sched
 		cfg.Core.CongestionControl = cc
 		return cfg
 	}
@@ -171,27 +166,25 @@ func TestValidateCongestionControl(t *testing.T) {
 		wantErr string // substring; "" = must validate
 	}{
 		{"cc-off", OneLink1G(2), ""},
-		{"cc-valid-defaults", ccCfg(true, core.CCConfig{Enable: true}), ""},
-		{"cc-valid-full-knobs", ccCfg(true, core.CCConfig{
+		{"cc-valid-defaults", ccCfg(core.CCConfig{Enable: true}), ""},
+		{"cc-valid-full-knobs", ccCfg(core.CCConfig{
 			Enable: true, InitWindow: 8, MinWindow: 2, MaxWindow: 64, Backlog: 32}), ""},
 		{"ecn-valid", mut(OneLink1G(2), func(c *Config) { c.EcnThreshold = 8 }), ""},
 		{"clos-valid", mut(TreeOneLink1G(8, 4, 1), func(c *Config) { c.Spines = 2 }), ""},
-		{"cc-needs-schedqueue", ccCfg(false, core.CCConfig{Enable: true}),
-			"CongestionControl requires SchedQueue"},
-		{"cc-knobs-without-enable", ccCfg(true, core.CCConfig{InitWindow: 8}),
+		{"cc-knobs-without-enable", ccCfg(core.CCConfig{InitWindow: 8}),
 			"without Enable do nothing"},
-		{"cc-negative-bound", ccCfg(true, core.CCConfig{Enable: true, MinWindow: -1}),
+		{"cc-negative-bound", ccCfg(core.CCConfig{Enable: true, MinWindow: -1}),
 			"negative CongestionControl bound"},
-		{"cc-probe-valid", ccCfg(true, core.CCConfig{Enable: true, ProbeInterval: 2 * sim.Millisecond}), ""},
-		{"cc-probe-without-enable", ccCfg(true, core.CCConfig{ProbeInterval: sim.Millisecond}),
+		{"cc-probe-valid", ccCfg(core.CCConfig{Enable: true, ProbeInterval: 2 * sim.Millisecond}), ""},
+		{"cc-probe-without-enable", ccCfg(core.CCConfig{ProbeInterval: sim.Millisecond}),
 			"without Enable do nothing"},
-		{"cc-negative-probe-interval", ccCfg(true, core.CCConfig{Enable: true, ProbeInterval: -sim.Millisecond}),
+		{"cc-negative-probe-interval", ccCfg(core.CCConfig{Enable: true, ProbeInterval: -sim.Millisecond}),
 			"negative CongestionControl ProbeInterval"},
-		{"cc-zero-via-min-above-max", ccCfg(true, core.CCConfig{Enable: true, MinWindow: 8, MaxWindow: 4}),
+		{"cc-zero-via-min-above-max", ccCfg(core.CCConfig{Enable: true, MinWindow: 8, MaxWindow: 4}),
 			"MinWindow 8 above MaxWindow 4"},
-		{"cc-init-above-max", ccCfg(true, core.CCConfig{Enable: true, InitWindow: 9, MaxWindow: 4}),
+		{"cc-init-above-max", ccCfg(core.CCConfig{Enable: true, InitWindow: 9, MaxWindow: 4}),
 			"InitWindow 9 above MaxWindow 4"},
-		{"cc-max-above-arq-window", ccCfg(true, core.CCConfig{Enable: true, MaxWindow: 256}),
+		{"cc-max-above-arq-window", ccCfg(core.CCConfig{Enable: true, MaxWindow: 256}),
 			"above the ARQ window"},
 		{"negative-spines", mut(OneLink1G(2), func(c *Config) { c.Spines = -1 }),
 			"negative Spines"},

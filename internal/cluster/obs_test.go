@@ -104,7 +104,6 @@ func TestReconnectMetricsMove(t *testing.T) {
 // move while an idle class's stay zero.
 func TestQoSMetricsExport(t *testing.T) {
 	cfg := OneLink1G(2)
-	cfg.Core.SchedQueue = true
 	cfg.Core.QoS = []core.QoSClass{
 		{Weight: 1},
 		{Weight: 4, RateBps: 500e6, Burst: 16 << 10, MaxQueued: 8, MaxQueuedBytes: 1 << 20},

@@ -121,28 +121,6 @@ func TestAllocsSQBatch(t *testing.T) {
 	gateAllocs(t, "SQ batch post+ring+drain", allocs/batch, 1)
 }
 
-// TestAllocsReceiveDispatchBurst gates the batched receive-dispatch loop
-// (Config.RxBurst) at one allocation per operation: burst jobs, their
-// pooled frames, and the dispatch fan-out must come entirely from
-// freelists once warm.
-func TestAllocsReceiveDispatchBurst(t *testing.T) {
-	cfg := cluster.TwoLink1G(2)
-	cfg.Seed = 3
-	cfg.Core.RxBurst = 4
-	cl, c01, src, dst := allocPair(t, cfg)
-	op := core.Op{Remote: dst, Local: src, Size: 512, Kind: frame.OpWrite}
-	var allocs float64
-	runMeasured(t, cl, func(p *sim.Proc) {
-		for i := 0; i < 128; i++ {
-			c01.MustDo(p, op).Wait(p)
-		}
-		allocs = testing.AllocsPerRun(100, func() {
-			c01.MustDo(p, op).Wait(p)
-		})
-	})
-	gateAllocs(t, "write+wait under RxBurst", allocs, 1)
-}
-
 // TestAllocsEagerRead documents the read budget: two allocations per
 // operation — the requester's Handle plus the responder's synthesized
 // txOp in serveRead, which has no user handle to embed into. The reply

@@ -18,7 +18,6 @@ import (
 func ccPair(t *testing.T, cc core.CCConfig) (*cluster.Cluster, *core.Conn) {
 	t.Helper()
 	cfg := cluster.OneLink1G(2)
-	cfg.Core.SchedQueue = true
 	cc.Enable = true
 	cfg.Core.CongestionControl = cc
 	cl, c01, _ := pairCluster(t, cfg)
@@ -67,7 +66,6 @@ func TestCCWindowGrowsOnCleanAcks(t *testing.T) {
 // against the cwnd sampled at its first frame.
 func TestCCLossBurstBoundedByCwnd(t *testing.T) {
 	cfg := cluster.OneLink1G(2)
-	cfg.Core.SchedQueue = true
 	cfg.Core.DeadInterval = 5 * sim.Second
 	// Go-back-N is the loss-amplifying baseline: every RTO queues the
 	// whole outstanding window for repair, so without the budget each
@@ -149,7 +147,6 @@ func TestCCLossBurstBoundedByCwnd(t *testing.T) {
 // frame is dropped.
 func TestCCEcnEchoCutsWindow(t *testing.T) {
 	cfg := cluster.OneLink1G(3)
-	cfg.Core.SchedQueue = true
 	cfg.Core.CongestionControl = core.CCConfig{Enable: true}
 	cfg.EcnThreshold = 8
 	cl := cluster.New(cfg)
@@ -297,7 +294,6 @@ func TestCCDoBlocksAndHonorsDeadline(t *testing.T) {
 // — and the skewed rail 0 must read slower than rail 1.
 func TestRailProbesMeasureSplit(t *testing.T) {
 	cfg := cluster.TwoLink1G(0)
-	cfg.Core.SchedQueue = true
 	cfg.Core.CongestionControl = core.CCConfig{Enable: true}
 	cl, c01, _ := pairCluster(t, cfg)
 	const size = 16 << 10

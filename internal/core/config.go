@@ -142,14 +142,11 @@ type Config struct {
 	// (Conn.Post / Conn.Ring) instead of a full kernel crossing each.
 	// Off by default: every existing run stays bit-identical.
 	UseSQ bool
-	// SchedQueue replaces the protocol thread's O(conns) round-robin
-	// scans for control and data work with explicit FIFO service queues:
-	// a connection enqueues itself when it gains work and the thread
-	// pops the head, so per-step cost is O(1) regardless of how many
-	// connections the endpoint carries. Service order is still fair
-	// (a connection re-enqueues at the tail after each frame) but
-	// differs from the scan order, so the flag is off by default to
-	// keep the pinned golden results byte-identical.
+	// SchedQueue is ignored.
+	//
+	// Deprecated: the FIFO scheduler is always on. The protocol thread
+	// serves connections from O(1) control and data FIFO queues whatever
+	// this field says.
 	SchedQueue bool
 	// TimerWheelTick coalesces the per-connection ACK, NACK, RTO and
 	// heartbeat timers into one per-endpoint timer wheel with this tick
@@ -160,16 +157,6 @@ type Config struct {
 	// default. 50µs is a good value for fan-in runs: ~1% of AckDelay
 	// rounding error, and hundreds of conns share each bucket.
 	TimerWheelTick sim.Time
-	// RxBurst, when greater than 1, batches receive delivery: one
-	// protocol-thread wake drains up to RxBurst frames from the NIC
-	// rings and dispatches them back-to-back under a single summed CPU
-	// charge, instead of one scheduler event per frame. This amortizes
-	// event overhead under receive-heavy load at the cost of coarser
-	// interleaving between receive and transmit service, which perturbs
-	// schedules; 0 (or 1) keeps the frame-at-a-time NAPI loop, the
-	// pinned byte-identical behavior. Delivery semantics are unchanged
-	// either way (see TestRxBurstParity).
-	RxBurst int
 	// Reconnect enables the supervised recovery layer: instead of a
 	// terminal Failed state, peer death parks the connection in
 	// Reconnecting, an endpoint supervisor redials with capped
@@ -209,10 +196,10 @@ type Config struct {
 	// token-bucket rate limits and submission quotas (see QoSClass)
 	// bound how much of the endpoint a single tenant can occupy, so an
 	// elephant-flow tenant degrades gracefully — throttled or paced —
-	// instead of starving everyone else. Requires SchedQueue (the fair
-	// queues extend the FIFO scheduler; cluster.Config.Validate rejects
-	// QoS without it). Empty (the default) disables the layer entirely
-	// and keeps every pinned golden byte-identical.
+	// instead of starving everyone else. The fair queues replace the
+	// endpoint's single pair of FIFO scheduler queues with one pair per
+	// class. Empty (the default) disables the layer entirely and keeps
+	// every pinned golden byte-identical.
 	QoS []QoSClass
 	// CongestionControl enables the end-to-end congestion layer: an AIMD
 	// congestion window per connection sits between the scheduler and the
@@ -222,10 +209,10 @@ type Config struct {
 	// halve it, and per-rail RTT estimates weight the striping decision
 	// away from congested rails. When the window is exhausted, admission
 	// backpressure kicks in with the QoS quota contract: Do blocks
-	// honoring Op.Deadline, Post fails fast with ErrThrottled. Requires
-	// SchedQueue (cluster.Config.Validate rejects the combination
-	// without it). Disabled (the zero value) keeps every pinned golden
-	// byte-identical.
+	// honoring Op.Deadline, Post fails fast with ErrThrottled. A conn
+	// whose window is full drops out of the scheduler's data queue until
+	// an ack opens it again. Disabled (the zero value) keeps every pinned
+	// golden byte-identical.
 	CongestionControl CCConfig
 }
 

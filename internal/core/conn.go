@@ -32,8 +32,8 @@ type Conn struct {
 	closedSig   sim.Signal
 	closeTimer  *sim.Timer
 
-	// Scheduler membership (Config.SchedQueue): whether the conn is
-	// currently queued for control/data service at the endpoint.
+	// Scheduler membership: whether the conn is currently queued for
+	// control/data service at the endpoint.
 	inCtrlQ bool
 	inSendQ bool
 
@@ -581,8 +581,7 @@ func (c *Conn) stopCloseTimer() {
 }
 
 // kick routes every "this conn may have work now" notification to the
-// endpoint: under Config.SchedQueue the conn enqueues itself for O(1)
-// service, otherwise this is just the legacy thread wakeup.
+// endpoint, which enqueues the conn for O(1) scheduler service.
 func (c *Conn) kick() { c.ep.kickConn(c) }
 
 // ---------------------------------------------------------------------

@@ -1,5 +1,7 @@
 package core
 
+import "sort"
+
 // connShards is the shard count of the endpoint connection table. A
 // power of two, so the shard pick is a mask. 16 shards keep each map
 // small (≤64 entries at the 1024-conn design point), which bounds both
@@ -7,9 +9,8 @@ package core
 const connShards = 16
 
 // connTable is the endpoint's connection demux, sharded by connection
-// id. Only keyed operations exist — iteration goes through the
-// endpoint's connOrder slice, which preserves the deterministic
-// creation order the scheduler's fairness (and golden runs) rely on.
+// id. The protocol thread never iterates it — its scheduler pops conns
+// from FIFO queues — so the only walk is sorted, for health snapshots.
 type connTable struct {
 	shards [connShards]map[uint32]*Conn
 	n      int
@@ -45,3 +46,16 @@ func (t *connTable) del(id uint32) {
 }
 
 func (t *connTable) len() int { return t.n }
+
+// sorted returns every tabled connection in ascending local id order,
+// which is dial/accept order since ids are handed out sequentially.
+func (t *connTable) sorted() []*Conn {
+	out := make([]*Conn, 0, t.n)
+	for _, s := range t.shards {
+		for _, c := range s {
+			out = append(out, c)
+		}
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].localID < out[j].localID })
+	return out
+}

@@ -26,7 +26,6 @@ type Endpoint struct {
 	memBrk uint64
 
 	conns      *connTable        // by local connection id, sharded
-	connOrder  []*Conn           // stable iteration order for fairness
 	byPeer     map[peerKey]*Conn // handshake dedupe
 	nextConnID uint32
 	acceptAll  bool
@@ -35,7 +34,6 @@ type Endpoint struct {
 	wheel *sim.Wheel // coalesced protocol timers (Config.TimerWheelTick)
 
 	threadActive bool
-	txRR         int // round-robin cursor over connections for send work
 	rxPrefer     int // NIC to poll first (the one that interrupted, NAPI-style)
 
 	// Hot-path scheduling plumbing: the protocol thread's continuations
@@ -43,21 +41,17 @@ type Endpoint struct {
 	// work schedules no per-event closures (see SchedAtArg/SubmitArg).
 	// rxJobFree recycles the per-frame dispatch records.
 	threadStepFn func()
-	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service (SchedQueue + QoS)
-	sendStepFn   func(any) // arg *Conn: data service (SchedQueue)
+	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service
+	sendStepFn   func(any) // arg *Conn: data service
 	qosSendFn    func(any) // arg *Conn: data service charged to qosDispatchCls
-	legacyCtrlFn func(any) // arg *Conn: legacy scan ctrl service
-	legacySendFn func(any) // arg *Conn: legacy scan data service
 	dispatchFn   func(any) // arg *rxJob: decoded-frame dispatch
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
-	burstFn      func()    // drains rxBurst: batched dispatch (Config.RxBurst)
 	rxJobFree    []*rxJob
-	rxBurst      []*rxJob // frames polled this burst, awaiting dispatch
 
 	qosDispatchCls int // class of the in-flight qosSendFn dispatch
 
-	// Connection scheduler (Config.SchedQueue): FIFO queues of
-	// connections with pending control or data work. A connection sits
+	// Connection scheduler: FIFO queues of connections with pending
+	// control or data work. A connection sits
 	// in each queue at most once (inCtrlQ/inSendQ); entries are
 	// re-validated on pop, so a conn whose work evaporated (acked,
 	// closed) costs one skip instead of an O(conns) rescan.
@@ -166,14 +160,6 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		ep.kickConn(c)
 		ep.threadStep()
 	}
-	ep.legacyCtrlFn = func(x any) {
-		x.(*Conn).sendCtrl()
-		ep.threadStep()
-	}
-	ep.legacySendFn = func(x any) {
-		x.(*Conn).sendNextDataFrame()
-		ep.threadStep()
-	}
 	ep.dispatchFn = func(x any) {
 		j := x.(*rxJob)
 		fr, src, h, payload, link, ecn := j.fr, j.src, j.h, j.payload, j.link, j.ecn
@@ -184,35 +170,11 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		ep.threadStep()
 	}
 	ep.fireSigFn = func(x any) { x.(*sim.Signal).Fire(ep.env) }
-	ep.burstFn = func() {
-		jobs := ep.rxBurst
-		for k, j := range jobs {
-			fr, src, h, payload, link, ecn := j.fr, j.src, j.h, j.payload, j.link, j.ecn
-			*j = rxJob{}
-			ep.rxJobFree = append(ep.rxJobFree, j)
-			jobs[k] = nil
-			ep.dispatchFrame(src, h, payload, link, ecn)
-			fr.Release()
-		}
-		// Reset before re-entering the loop: threadStep may start the
-		// next burst, which refills the same backing array.
-		ep.rxBurst = jobs[:0]
-		ep.threadStep()
-	}
 	if cfg.TimerWheelTick > 0 {
 		ep.wheel = sim.NewWheel(env, cfg.TimerWheelTick)
 	}
 	if len(cfg.QoS) > 0 {
-		if !cfg.SchedQueue {
-			panic("core: Config.QoS requires Config.SchedQueue")
-		}
 		ep.initQoS()
-	}
-	if cfg.CongestionControl.Enable && !cfg.SchedQueue {
-		// The congestion window gates transmissions between the scheduler
-		// and the wire; without the scheduler queue there is no per-conn
-		// service loop to park a window-blocked conn on.
-		panic("core: Config.CongestionControl requires Config.SchedQueue")
 	}
 	for _, n := range nics {
 		n.SetHost(ep)
@@ -269,7 +231,8 @@ func (ep *Endpoint) afterTimer(d sim.Time, fn func()) timer {
 // on the heap backing it re-points the existing Timer handle in place
 // (sim.Env.Rearm) instead of allocating a fresh one per arm — the RTO
 // timer re-arms on every transmit, so this is a per-frame allocation.
-// The wheel backing already recycles its entries.
+// The wheel backing has no in-place re-arm: each arm allocates a fresh
+// *sim.WheelTimer, and the stale one is skipped when its bucket fires.
 func (ep *Endpoint) rearmTimer(t timer, d sim.Time, fn func()) timer {
 	if ep.wheel != nil {
 		return ep.wheel.After(d, fn)
@@ -298,18 +261,15 @@ func (ep *Endpoint) rearmDaemonTimer(t timer, d sim.Time, fn func()) timer {
 	return ep.env.RearmDaemon(st, d, fn)
 }
 
-// kickConn notes that c may have gained control or data work and makes
-// sure the protocol thread will look at it: under Config.SchedQueue the
-// connection enqueues itself (once per queue), otherwise the thread's
-// scan will find it. Every conn-side state change that can create work
-// funnels through here via Conn.kick.
+// kickConn notes that c may have gained control or data work, enqueues
+// it on the scheduler's control and data queues (at most once each; the
+// class queues under Config.QoS) and wakes the protocol thread. Every
+// conn-side state change that can create work funnels through here via
+// Conn.kick.
 func (ep *Endpoint) kickConn(c *Conn) {
 	if ep.qosOn() {
 		ep.qosKickConn(c)
-		ep.wakeThread()
-		return
-	}
-	if ep.cfg.SchedQueue {
+	} else {
 		if !c.inCtrlQ && c.ctrlPending() {
 			c.inCtrlQ = true
 			ep.ctrlQ.push(c)
@@ -354,7 +314,7 @@ func (ep *Endpoint) popSend() *Conn {
 }
 
 // removeConn unlinks a torn-down connection from the endpoint: demux
-// table, fairness order and handshake dedupe. Scheduler queue entries
+// table and handshake dedupe. Scheduler queue entries
 // are left to lazy invalidation (closed conns fail the pop re-check).
 // Idempotent; frames that arrive for a removed connection are dropped
 // at dispatch, except retransmitted ConnClose frames, which get a
@@ -365,12 +325,6 @@ func (ep *Endpoint) removeConn(c *Conn) {
 		return
 	}
 	ep.conns.del(c.localID)
-	for i, cc := range ep.connOrder {
-		if cc == c {
-			ep.connOrder = append(ep.connOrder[:i], ep.connOrder[i+1:]...)
-			break
-		}
-	}
 	k := peerKey{node: c.remoteNode, connID: c.remoteID}
 	if ep.byPeer[k] == c {
 		delete(ep.byPeer, k)
@@ -584,28 +538,20 @@ func (ep *Endpoint) threadStep() {
 		return
 	}
 	// 2. Receive, starting with the NIC that interrupted and sticking
-	// with it until its ring drains (NAPI-style batching). Config.RxBurst
-	// additionally batches several frames under one scheduler wake.
-	if ep.cfg.RxBurst > 1 {
-		if ep.pollRxBurst() {
+	// with it until its ring drains (NAPI-style batching).
+	for i := 0; i < len(ep.nics); i++ {
+		idx := (ep.rxPrefer + i) % len(ep.nics)
+		if fr := ep.nics[idx].PollRxOne(); fr != nil {
+			ep.rxPrefer = idx
+			ep.processRxFrame(fr, idx)
 			return
-		}
-	} else {
-		for i := 0; i < len(ep.nics); i++ {
-			idx := (ep.rxPrefer + i) % len(ep.nics)
-			if fr := ep.nics[idx].PollRxOne(); fr != nil {
-				ep.rxPrefer = idx
-				ep.processRxFrame(fr, idx)
-				return
-			}
 		}
 	}
 	// 3+4. Send pending control frames (ACK/NACK), then one data frame
-	// from a connection with window space. Under Config.SchedQueue both
-	// come from O(1) FIFO pops; a connection with more work re-enqueues
-	// at the tail, so service stays fair round-robin. The legacy path
-	// scans every connection per step, which is fine for a handful of
-	// conns and byte-identical to the pinned golden runs.
+	// from a connection with window space. Both come from O(1) FIFO pops,
+	// so per-step cost does not grow with the connection count; a
+	// connection with more work re-enqueues at the tail, so service stays
+	// fair round-robin.
 	if ep.qosOn() {
 		// Multi-tenant scheduling: weighted-fair pops across the class
 		// queues, with each transmitted data frame charged back to the
@@ -629,7 +575,7 @@ func (ep *Endpoint) threadStep() {
 			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.qosSendFn, c)
 			return
 		}
-	} else if ep.cfg.SchedQueue {
+	} else {
 		if c := ep.popCtrl(); c != nil {
 			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
 			return
@@ -637,23 +583,6 @@ func (ep *Endpoint) threadStep() {
 		if c := ep.popSend(); c != nil {
 			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
 			return
-		}
-	} else {
-		for i := 0; i < len(ep.connOrder); i++ {
-			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
-			if c.ctrlPending() {
-				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.legacyCtrlFn, c)
-				return
-			}
-		}
-		for i := 0; i < len(ep.connOrder); i++ {
-			c := ep.connOrder[(ep.txRR+i)%len(ep.connOrder)]
-			if c.sendable() {
-				ep.txRR = (ep.txRR + i + 1) % len(ep.connOrder)
-				ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.legacySendFn, c)
-				return
-			}
 		}
 	}
 	// No work: sleep and unmask (re-raises if anything slipped in).
@@ -691,58 +620,6 @@ func (ep *Endpoint) processRxFrame(fr *phys.Frame, link int) {
 	j := ep.getRxJob()
 	j.fr, j.src, j.h, j.payload, j.link, j.ecn = fr, src, h, payload, link, fr.Ecn
 	ep.protoRes().SubmitArg(ep.env, cost, ep.dispatchFn, j)
-}
-
-// pollRxBurst drains up to Config.RxBurst frames from the NIC rings and
-// schedules their dispatch as one protocol-thread event charged the sum
-// of the per-frame costs. It reports whether any frame was taken (the
-// caller returns and the burst callback continues the thread loop). The
-// per-frame cost model is identical to processRxFrame's; only the event
-// granularity changes.
-func (ep *Endpoint) pollRxBurst() bool {
-	var cost sim.Time
-	n := 0
-	for n < ep.cfg.RxBurst {
-		var fr *phys.Frame
-		link := -1
-		for i := 0; i < len(ep.nics); i++ {
-			idx := (ep.rxPrefer + i) % len(ep.nics)
-			if f := ep.nics[idx].PollRxOne(); f != nil {
-				ep.rxPrefer = idx
-				fr, link = f, idx
-				break
-			}
-		}
-		if fr == nil {
-			break
-		}
-		n++
-		_, src, h, payload, err := frame.Decode(fr.Buf)
-		if err != nil {
-			// Damaged frame past the FCS model: treated as loss, buffer
-			// dies here, decode cost still charged.
-			fr.Release()
-			cost += ep.protoCost(ep.costs.FrameRx)
-			continue
-		}
-		switch h.Type {
-		case frame.TypeData, frame.TypeReadReq, frame.TypeMultiData:
-			cost += ep.protoCost(ep.costs.FrameRx)
-			if ep.engine == nil {
-				cost += ep.costs.Copy(len(payload))
-			}
-		default:
-			cost += ep.protoCost(ep.costs.AckProc)
-		}
-		j := ep.getRxJob()
-		j.fr, j.src, j.h, j.payload, j.link, j.ecn = fr, src, h, payload, link, fr.Ecn
-		ep.rxBurst = append(ep.rxBurst, j)
-	}
-	if n == 0 {
-		return false
-	}
-	ep.protoRes().Submit(ep.env, cost, ep.burstFn)
-	return true
 }
 
 // dispatchFrame routes a decoded frame to connection handling. ecn is
@@ -946,7 +823,6 @@ func (ep *Endpoint) newConn(remoteNode, links int) *Conn {
 	c := newConn(ep, ep.nextConnID, remoteNode, links)
 	ep.nextConnID++
 	ep.conns.put(c.localID, c)
-	ep.connOrder = append(ep.connOrder, c)
 	return c
 }
 

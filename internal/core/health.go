@@ -80,7 +80,7 @@ func (ep *Endpoint) Health() obs.EndpointHealth {
 		SchedSendQ:   ep.sendQ.size(),
 		WheelEntries: ep.wheel.Len(),
 	}
-	for _, c := range ep.connOrder {
+	for _, c := range ep.conns.sorted() {
 		h.Conns = append(h.Conns, c.Health())
 	}
 	return h

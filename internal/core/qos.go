@@ -9,7 +9,7 @@ import (
 )
 
 // Multi-tenant quality of service (Config.QoS). The endpoint's FIFO
-// scheduler (Config.SchedQueue) is extended with one control and one
+// connection scheduler is extended with one control and one
 // data service queue PER CLASS, and the protocol thread picks the next
 // connection by deficit-weighted fair queueing instead of flat
 // round-robin: each visit grants a class Weight × qosQuantum bytes of
@@ -310,7 +310,7 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 // ---------------------------------------------------------------------
 
 // qosKickConn enqueues c on its class queues, mirroring the flat
-// SchedQueue bookkeeping (once per queue, lazily re-validated on pop).
+// scheduler's bookkeeping (once per queue, lazily re-validated on pop).
 func (ep *Endpoint) qosKickConn(c *Conn) {
 	cls := c.classIdx()
 	q := &ep.qos[cls]

@@ -15,7 +15,6 @@ import (
 func qosPair(t *testing.T, classes ...core.QoSClass) (*cluster.Cluster, *core.Conn) {
 	t.Helper()
 	cfg := cluster.OneLink1G(2)
-	cfg.Core.SchedQueue = true
 	cfg.Core.QoS = classes
 	cl, c01, _ := pairCluster(t, cfg)
 	return cl, c01

@@ -95,14 +95,13 @@ func TestClosedConnEmitsNoFrames(t *testing.T) {
 // handshake terminates, no timer callback outlives its conn, and both
 // endpoints' tables empty out. Run under -race in CI.
 func TestTeardownUnderLoad(t *testing.T) {
-	for _, scaled := range []bool{false, true} {
-		scaled := scaled
-		t.Run(fmt.Sprintf("schedQueue=%v", scaled), func(t *testing.T) {
+	for _, wheel := range []bool{false, true} {
+		wheel := wheel
+		t.Run(fmt.Sprintf("wheel=%v", wheel), func(t *testing.T) {
 			cfg := cluster.OneLink1G(2)
 			cfg.Seed = 911
 			cfg.Link.LossProb = 0.02
-			cfg.Core.SchedQueue = scaled
-			if scaled {
+			if wheel {
 				cfg.Core.TimerWheelTick = 50 * sim.Microsecond
 			}
 			cl := cluster.New(cfg)
@@ -211,20 +210,20 @@ func TestNackStateBoundedUnderOutage(t *testing.T) {
 	}
 }
 
-// TestSchedWheelParityLossy runs the same lossy transfer with the
-// legacy scan + heap timers and with the connection scheduler + timer
-// wheel: both must deliver intact data, and the scaled configuration
-// must be deterministic (two identical-seed runs produce identical
-// traffic reports).
+// TestSchedWheelParityLossy runs the same lossy two-rail transfer
+// through the connection scheduler under each protocol-timer backing —
+// plain heap timers and the coalescing wheel — and with the deprecated
+// Config.SchedQueue flag set. Every configuration must deliver intact
+// data and be deterministic (identical seeds give identical traffic
+// reports and end times). The deprecated flag must be inert: its run
+// equals the heap-timer run exactly.
 func TestSchedWheelParityLossy(t *testing.T) {
-	run := func(scaled bool, seed int64) (report cluster.NetReport, end sim.Time, ok bool) {
+	run := func(tick sim.Time, schedQueue bool) (report cluster.NetReport, end sim.Time, ok bool) {
 		cfg := cluster.TwoLink1G(2)
-		cfg.Seed = seed
+		cfg.Seed = 5
 		cfg.Link.LossProb = 0.05
-		cfg.Core.SchedQueue = scaled
-		if scaled {
-			cfg.Core.TimerWheelTick = 50 * sim.Microsecond
-		}
+		cfg.Core.TimerWheelTick = tick
+		cfg.Core.SchedQueue = schedQueue
 		cl := cluster.New(cfg)
 		c01, _ := cl.Pair()
 		ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
@@ -240,16 +239,32 @@ func TestSchedWheelParityLossy(t *testing.T) {
 		ok = done && bytes.Equal(ep1.Mem()[dst:dst+uint64(n)], ep0.Mem()[src:src+uint64(n)])
 		return cl.Collect(), end, ok
 	}
-	if _, _, ok := run(false, 5); !ok {
-		t.Fatal("legacy path failed the lossy transfer")
+	heap, heapEnd, _ := run(0, false)
+	cases := []struct {
+		name       string
+		tick       sim.Time
+		schedQueue bool
+		equalsHeap bool // must reproduce the heap-timer run exactly
+	}{
+		{"heap", 0, false, true},
+		{"wheel", 50 * sim.Microsecond, false, false},
+		{"deprecated-schedqueue", 0, true, true},
 	}
-	r1, e1, ok1 := run(true, 5)
-	if !ok1 {
-		t.Fatal("scheduler+wheel path failed the lossy transfer")
-	}
-	r2, e2, ok2 := run(true, 5)
-	if !ok2 || r1 != r2 || e1 != e2 {
-		t.Fatalf("scheduler+wheel run not deterministic: end %v vs %v, reports equal=%v",
-			e1, e2, r1 == r2)
+	for _, tc := range cases {
+		tc := tc
+		t.Run(tc.name, func(t *testing.T) {
+			r1, e1, ok1 := run(tc.tick, tc.schedQueue)
+			if !ok1 {
+				t.Fatal("lossy transfer did not deliver intact data")
+			}
+			r2, e2, ok2 := run(tc.tick, tc.schedQueue)
+			if !ok2 || r1 != r2 || e1 != e2 {
+				t.Fatalf("run not deterministic: end %v vs %v, reports equal=%v", e1, e2, r1 == r2)
+			}
+			if tc.equalsHeap && (r1 != heap || e1 != heapEnd) {
+				t.Fatalf("diverged from the heap-timer run: end %v vs %v, reports equal=%v",
+					e1, heapEnd, r1 == heap)
+			}
+		})
 	}
 }

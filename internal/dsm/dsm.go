@@ -238,8 +238,8 @@ func (s *System) ReadShared(addr uint64, n int) []byte {
 type Breakdown struct {
 	Compute  sim.Time // application work (charged via Compute)
 	Data     sim.Time // waiting for remote page fetches
-	Lock     sim.Time // lock acquire/release, including diff flushes there
-	Barrier  sim.Time // barrier wait, including diff flushes there
+	Lock     sim.Time // lock acquire/release, including diff-flush waits there
+	Barrier  sim.Time // barrier wait, including diff-flush waits there
 	Overhead sim.Time // twin creation and diff generation CPU time
 }
 
@@ -573,11 +573,13 @@ func (in *Instance) drainSQ(p *sim.Proc, to int) {
 
 // flushDiffs pushes every dirty page's changes to its home with remote
 // writes, waits for them to be performed, and returns the write notices
-// (page<<8 | writer) describing what this node modified. The caller
-// accounts the elapsed time to its own category (lock or barrier).
-func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
+// (page<<8 | writer) describing what this node modified. The diff
+// generation CPU time is charged to B.Overhead here and returned as
+// diffCost; the caller accounts the rest of the elapsed time to its own
+// category (lock or barrier), so no instant is counted twice.
+func (in *Instance) flushDiffs(p *sim.Proc) (notices []uint32, diffCost sim.Time) {
 	if len(in.dirty) == 0 {
-		return nil
+		return nil, 0
 	}
 	pgs := make([]int, 0, len(in.dirty))
 	for pg := range in.dirty {
@@ -585,9 +587,8 @@ func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
 	}
 	sort.Ints(pgs)
 	costs := in.sys.Cl.Cfg.Costs
-	notices := make([]uint32, 0, len(pgs))
+	notices = make([]uint32, 0, len(pgs))
 	var hs []*core.Handle
-	var diffCost sim.Time
 	batches := make(map[int][]diffBatch)
 	useSQ := in.useSQ()
 	sqHomes := make([]bool, in.n) // homes with posted-but-unrung descriptors
@@ -670,7 +671,7 @@ func (in *Instance) flushDiffs(p *sim.Proc) []uint32 {
 			in.drainSQ(p, home)
 		}
 	}
-	return notices
+	return notices, diffCost
 }
 
 // run is one contiguous modified byte range within a page.

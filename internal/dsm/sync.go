@@ -280,7 +280,7 @@ func (in *Instance) Acquire(p *sim.Proc, lock int) {
 // the lock back to its manager along with the write notices.
 func (in *Instance) Release(p *sim.Proc, lock int) {
 	t0 := in.env.Now()
-	notices := in.flushDiffs(p)
+	notices, diffCost := in.flushDiffs(p)
 	home := in.lockHome(lock)
 	if home == in.self {
 		ls := in.lockState(lock)
@@ -290,7 +290,7 @@ func (in *Instance) Release(p *sim.Proc, lock int) {
 		in.sendMsg(p, home, msgRelease, lock, 0, notices, false)
 		in.ackMb.Recv(p)
 	}
-	in.B.Lock += in.env.Now() - t0
+	in.B.Lock += in.env.Now() - t0 - diffCost
 }
 
 // ---------------------------------------------------------------------
@@ -303,7 +303,7 @@ func (in *Instance) Release(p *sim.Proc, lock int) {
 func (in *Instance) Barrier(p *sim.Proc) {
 	t0 := in.env.Now()
 	in.Stats.Barriers++
-	in.flushDiffs(p)
+	_, diffCost := in.flushDiffs(p)
 	// Advertise everything dirtied since the last barrier (including
 	// pages already flushed at lock releases): see sinceBarrier.
 	notices := make([]uint32, 0, len(in.sinceBarrier))
@@ -319,7 +319,7 @@ func (in *Instance) Barrier(p *sim.Proc) {
 	}
 	in.barEpoch++
 	in.barMb.Recv(p)
-	in.B.Barrier += in.env.Now() - t0
+	in.B.Barrier += in.env.Now() - t0 - diffCost
 }
 
 // handleArrive runs at the master: collect arrivals; on the last one,

@@ -174,13 +174,6 @@ func WithReconnect(maxReconnects int) ClusterOption {
 	}
 }
 
-// WithSchedQueue replaces the protocol thread's O(conns) round-robin
-// scan with the ready-queue scheduler — required beyond a few hundred
-// connections per node.
-func WithSchedQueue() ClusterOption {
-	return func(c *ClusterConfig) { c.Core.SchedQueue = true }
-}
-
 // WithSubmissionQueues routes operations through per-connection
 // submission/completion queues (Post/Ring/WaitCQ) instead of eager
 // per-op dispatch.
@@ -214,13 +207,9 @@ func WithTimerWheel(tick Time) ClusterOption {
 // class's token-bucket rate limit and submission quotas bound how much
 // of an endpoint one tenant can occupy (over-quota Posts fail fast with
 // ErrThrottled; Do blocks for room). Tag connections with Conn.SetClass
-// or service stubs with WithTenantClass. Implies WithSchedQueue — the
-// fair queues extend the FIFO scheduler.
+// or service stubs with WithTenantClass.
 func WithQoS(classes ...QoSClass) ClusterOption {
-	return func(c *ClusterConfig) {
-		c.Core.QoS = classes
-		c.Core.SchedQueue = true
-	}
+	return func(c *ClusterConfig) { c.Core.QoS = classes }
 }
 
 // WithSeed overrides the simulation seed.
@@ -232,7 +221,7 @@ func WithSeed(seed int64) ClusterOption {
 // options applied on top:
 //
 //	cl := multiedge.NewCluster(multiedge.OneLink1G(8),
-//	    multiedge.WithReconnect(0), multiedge.WithSchedQueue())
+//	    multiedge.WithReconnect(0), multiedge.WithTimerWheel(50*multiedge.Microsecond))
 func NewCluster(cfg ClusterConfig, opts ...ClusterOption) *Cluster {
 	for _, opt := range opts {
 		opt(&cfg)
