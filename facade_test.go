@@ -165,8 +165,7 @@ func TestPublicAPIService(t *testing.T) {
 }
 
 // TestPublicAPIQoS drives the multi-tenant QoS surface through the
-// facade only: WithQoS class tables (implying the sched queue),
-// WithTenantClass on a service stub, the ErrThrottled error surface,
+// facade only: WithQoS class tables, WithTenantClass on a service stub, the ErrThrottled error surface,
 // and the per-class admission accounting it all feeds.
 func TestPublicAPIQoS(t *testing.T) {
 	cl := multiedge.NewCluster(multiedge.OneLink1G(3),

@@ -36,6 +36,10 @@ type FaninOptions struct {
 	// unless DisableRecorder (for overhead A/B measurements).
 	Obs             cluster.ObsOptions
 	DisableRecorder bool
+
+	// inject, when set, schedules extra faults on the run's chaos runner
+	// before the simulation starts (tests kill the server mid-run).
+	inject func(*chaos.Runner)
 }
 
 // FaninResult is one fan-in measurement plus its correctness gates.
@@ -105,26 +109,31 @@ func RunFanin(opts FaninOptions) FaninResult {
 	server := cl.Nodes[0].EP
 
 	var runner *chaos.Runner
+	if opts.Chaos || opts.inject != nil {
+		runner = chaos.New(cl, opts.Seed+1)
+	}
 	if opts.Chaos {
-		r := chaos.New(cl, opts.Seed+1)
-		runner = r
 		// A loss burst on the server rail hits every connection at
 		// once; bursts on the first client rails add asymmetric repair
 		// load; a duplication window exercises the receive-side dedup.
-		r.LossBurst(500*sim.Microsecond, 3*sim.Millisecond, 0, 0, 0.02)
+		runner.LossBurst(500*sim.Microsecond, 3*sim.Millisecond, 0, 0, 0.02)
 		for n := 1; n <= clientNodes && n <= 4; n++ {
 			from := sim.Time(n) * 300 * sim.Microsecond
-			r.LossBurst(from, from+sim.Millisecond, n, 0, 0.05)
+			runner.LossBurst(from, from+sim.Millisecond, n, 0, 0.05)
 		}
-		r.DuplicateEveryNth(sim.Millisecond, 2*sim.Millisecond, 1, 0, 7)
+		runner.DuplicateEveryNth(sim.Millisecond, 2*sim.Millisecond, 1, 0, 7)
+	}
+	if opts.inject != nil {
+		opts.inject(runner)
 	}
 
 	rec := &trace.LatencyRecorder{}
 	var startSig sim.Signal
 	var start, end sim.Time
 	startSig.OnFire(cl.Env, func() { start = cl.Env.Now() })
-	dialed, finished, opsDone := 0, 0, 0
+	dialed, finished, opsDone, failedOps := 0, 0, 0, 0
 	verified := true
+	var firstErr error
 
 	for j := 0; j < conns; j++ {
 		j := j
@@ -148,22 +157,34 @@ func RunFanin(opts FaninOptions) FaninResult {
 			}
 			p.Wait(&startSig)
 
-			switch mode {
-			case 0: // eager remote writes
-				for k := 0; k < opts.OpsPerConn; k++ {
-					off := uint64(k % faninSlots * opts.Size)
-					t0 := cl.Env.Now()
-					c.MustDo(p, core.Op{Remote: remote + off, Local: local + off,
-						Size: opts.Size, Kind: frame.OpWrite, Flags: frame.Solicit}).Wait(p)
-					rec.Record(cl.Env.Now() - t0)
-					opsDone++
+			// A failed operation (issue error, handle or completion error)
+			// stops the conn's workload and fails the DataOK gate: only
+			// successful operations count as done.
+			fail := func(n int, err error) {
+				failedOps += n
+				if firstErr == nil {
+					firstErr = fmt.Errorf("conn %d: %w", j, err)
 				}
-			case 1: // eager remote reads
+			}
+			switch mode {
+			case 0, 1: // eager remote writes / eager remote reads
+				op := core.Op{Size: opts.Size, Kind: frame.OpWrite, Flags: frame.Solicit}
+				if mode == 1 {
+					op = core.Op{Size: opts.Size, Kind: frame.OpRead}
+				}
 				for k := 0; k < opts.OpsPerConn; k++ {
 					off := uint64(k % faninSlots * opts.Size)
+					op.Remote, op.Local = remote+off, local+off
 					t0 := cl.Env.Now()
-					c.MustDo(p, core.Op{Remote: remote + off, Local: local + off,
-						Size: opts.Size, Kind: frame.OpRead}).Wait(p)
+					h, err := c.Do(p, op)
+					if err == nil {
+						h.Wait(p)
+						err = h.Err()
+					}
+					if err != nil {
+						fail(1, err)
+						break
+					}
 					rec.Record(cl.Env.Now() - t0)
 					opsDone++
 				}
@@ -174,14 +195,30 @@ func RunFanin(opts FaninOptions) FaninResult {
 						n = opts.OpsPerConn - done
 					}
 					t0 := cl.Env.Now()
-					for i := 0; i < n; i++ {
+					var err error
+					for i := 0; i < n && err == nil; i++ {
 						off := uint64(i * opts.Size)
-						c.MustPost(core.Op{Remote: remote + off, Local: local + off,
+						err = c.Post(core.Op{Remote: remote + off, Local: local + off,
 							Size: opts.Size, Kind: frame.OpWrite, Flags: tailSolicit(i, n)})
 					}
-					c.MustRing(p)
+					if err == nil {
+						_, err = c.Ring(p)
+					}
+					if err != nil {
+						fail(n, err)
+						break
+					}
+					bad := 0
 					for i := 0; i < n; i++ {
-						c.WaitCQ(p)
+						if comp := c.WaitCQ(p); comp.Err != nil {
+							if bad++; bad == 1 {
+								err = comp.Err
+							}
+						}
+					}
+					if bad > 0 {
+						fail(bad, err)
+						break
 					}
 					rec.Record(cl.Env.Now() - t0)
 					opsDone += n
@@ -220,8 +257,9 @@ func RunFanin(opts FaninOptions) FaninResult {
 		Conns:       conns,
 		ClientNodes: clientNodes,
 		Ops:         opsDone,
-		DataOK:      verified && finished == conns && opsDone == totalFaninOps(conns, opts.OpsPerConn),
-		Net:         cl.Collect(),
+		DataOK: verified && failedOps == 0 && finished == conns &&
+			opsDone == totalFaninOps(conns, opts.OpsPerConn),
+		Net: cl.Collect(),
 	}
 	if end > start && start > 0 {
 		r.Elapsed = end - start
@@ -241,15 +279,12 @@ func RunFanin(opts FaninOptions) FaninResult {
 	r.Obs = cl.Obs
 	r.Recorders = cl.Recorders
 	if !r.DataOK || !r.LeakFree() {
-		var faults []obs.TimelineNote
-		if runner != nil {
-			for _, ev := range runner.Events {
-				faults = append(faults, obs.TimelineNote{At: ev.At, Text: ev.What})
-			}
+		cause := fmt.Sprintf("fanin gate failure: dataOK=%v failedOps=%d pendingEvents=%d activeConns=%d",
+			r.DataOK, failedOps, r.PendingEvents, r.ActiveConns)
+		if firstErr != nil {
+			cause += fmt.Sprintf(" firstErr=%q", firstErr.Error())
 		}
-		cause := fmt.Sprintf("fanin gate failure: dataOK=%v pendingEvents=%d activeConns=%d",
-			r.DataOK, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), faults, cl.Recorders...)
+		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), runner.Notes(), cl.Recorders...)
 	}
 	return r
 }

@@ -1,6 +1,12 @@
 package bench
 
-import "testing"
+import (
+	"strings"
+	"testing"
+
+	"multiedge/internal/chaos"
+	"multiedge/internal/sim"
+)
 
 // TestFaninSmall is the tier-1 fan-in gate: a handful of connections
 // through the scaled endpoint must verify every byte and leak nothing.
@@ -67,4 +73,28 @@ func TestFaninScaling(t *testing.T) {
 		t.Errorf("%d conns reached %.0f ops/s, want >= %.0fx of 1-conn %.0f ops/s",
 			conns, many.OpsPerSec, want, base.OpsPerSec)
 	}
+}
+
+// TestFaninReportsFailedOps: when the server dies mid-run, in-flight
+// operations complete with ErrPeerDead and later issues fail on the dead
+// conns. Every such failure must fail the DataOK gate with a post-mortem
+// naming it — never count as a completed op, never panic the harness.
+func TestFaninReportsFailedOps(t *testing.T) {
+	r := RunFanin(FaninOptions{Conns: 6, OpsPerConn: 16, Size: 256, Seed: 3,
+		inject: func(cr *chaos.Runner) { cr.KillNode(300*sim.Microsecond, 0) }})
+	t.Logf("%s", r)
+	if r.DataOK {
+		t.Fatalf("fan-in with a dead server reported DataOK: %s", r)
+	}
+	if r.Ops >= 6*16 {
+		t.Fatalf("failed ops counted as done: %d of %d", r.Ops, 6*16)
+	}
+	if r.Dump == nil || !strings.Contains(r.Dump.Cause, "failedOps=") ||
+		!strings.Contains(r.Dump.Cause, "peer dead") {
+		t.Fatalf("no post-mortem naming the failed ops: %+v", r.Dump)
+	}
+	if len(r.Dump.Faults) == 0 {
+		t.Fatal("post-mortem lost the injected fault timeline")
+	}
+	t.Log(r.Dump.Cause)
 }

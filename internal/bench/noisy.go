@@ -235,15 +235,9 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 	r.Obs = cl.Obs
 	r.Recorders = cl.Recorders
 	if !r.DataOK || !r.LeakFree() {
-		var faults []obs.TimelineNote
-		if runner != nil {
-			for _, ev := range runner.Events {
-				faults = append(faults, obs.TimelineNote{At: ev.At, Text: ev.What})
-			}
-		}
 		cause := fmt.Sprintf("noisy gate failure (%s): dataOK=%v pendingEvents=%d activeConns=%d",
 			r.Phase, r.DataOK, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), faults, cl.Recorders...)
+		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), runner.Notes(), cl.Recorders...)
 	}
 	return r
 }

@@ -292,15 +292,9 @@ func RunServe(opts ServeOptions) ServeResult {
 	r.Obs = cl.Obs
 	r.Recorders = cl.Recorders
 	if !r.DataOK || !r.LeakFree() {
-		var faults []obs.TimelineNote
-		if runner != nil {
-			for _, ev := range runner.Events {
-				faults = append(faults, obs.TimelineNote{At: ev.At, Text: ev.What})
-			}
-		}
 		cause := fmt.Sprintf("serve gate failure: dataOK=%v failedCalls=%d pendingLive=%d activeConns=%d",
 			r.DataOK, failedCalls, r.PendingLive, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), faults, cl.Recorders...)
+		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), runner.Notes(), cl.Recorders...)
 	}
 	return r
 }

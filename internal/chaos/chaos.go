@@ -20,6 +20,7 @@ import (
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
+	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
 )
@@ -47,6 +48,20 @@ func New(cl *cluster.Cluster, seed int64) *Runner {
 		rng:   rand.New(rand.NewSource(seed)),
 		muxes: make(map[*phys.OutPort]*portMux),
 	}
+}
+
+// Notes returns the scheduled fault timeline as post-mortem notes
+// (obs.BuildPostMortem). A nil Runner — a run without fault injection —
+// has none.
+func (r *Runner) Notes() []obs.TimelineNote {
+	if r == nil {
+		return nil
+	}
+	var notes []obs.TimelineNote
+	for _, ev := range r.Events {
+		notes = append(notes, obs.TimelineNote{At: ev.At, Text: ev.What})
+	}
+	return notes
 }
 
 // Cluster returns the cluster the Runner injects faults into.

@@ -212,10 +212,7 @@ func RunDeep(o Options) (Result, []Violation, *Artifacts) {
 	res.Report = cl.Collect()
 	vs = append(vs, CheckReport(res.Report)...)
 
-	art := &Artifacts{Obs: cl.Obs, Recorders: cl.Recorders}
-	for _, ev := range r.Events {
-		art.Faults = append(art.Faults, obs.TimelineNote{At: ev.At, Text: ev.What})
-	}
+	art := &Artifacts{Obs: cl.Obs, Recorders: cl.Recorders, Faults: r.Notes()}
 	if len(vs) > 0 {
 		art.Dump = obs.BuildPostMortem(vs[0].Name+": "+vs[0].Detail,
 			res.EndedAt, art.Faults, cl.Recorders...)

@@ -1,11 +1,6 @@
 package core
 
-import (
-	"fmt"
-
-	"multiedge/internal/obs"
-	"multiedge/internal/sim"
-)
+import "multiedge/internal/obs"
 
 // End-to-end congestion control (Config.CongestionControl).
 //
@@ -46,10 +41,6 @@ import (
 // Everything here is config-gated: with Config.CongestionControl.Enable
 // false, cwnd is 0/inert, effWindow is Config.Window, and no paths
 // behave differently.
-
-// ccAdmitPoll is the blocking-admission polling interval, matching the
-// QoS quota wait cadence (qosAdmitPoll).
-const ccAdmitPoll = 20 * sim.Microsecond
 
 // Cut causes, recorded in RecCwndCut's B field.
 const (
@@ -181,50 +172,12 @@ func (c *Conn) ccPickLink() int {
 // congestion window is spent AND a full backlog of operations is
 // already queued behind it. The backlog term keeps short bursts cheap —
 // pipelining past a momentarily-closed window is the normal case — and
-// only sustained oversubscription reaches the caller.
+// only sustained oversubscription reaches the caller. The admission
+// gates (admitFast, admitDo in qos.go) consult it before the class quota.
 func (c *Conn) ccBacklogged() bool {
 	if !c.ep.cfg.ccOn() {
 		return false
 	}
 	return c.inflight() >= c.effWindow() &&
 		len(c.txOps)+len(c.sq) >= c.ep.cfg.ccBacklog()
-}
-
-// ccAdmitFast is the fail-fast admission gate (Post): over the window
-// backlog returns ErrThrottled immediately, mirroring qosAdmitFast.
-func (c *Conn) ccAdmitFast() error {
-	if !c.ccBacklogged() {
-		return nil
-	}
-	c.ep.Stats.CcOpsThrottled++
-	c.ep.recEvent(c.localID, obs.RecCcBlock, int64(c.cwnd), 0)
-	return fmt.Errorf("core: congestion window backlog to node %d: %w", c.remoteNode, ErrThrottled)
-}
-
-// ccAdmitDo is the blocking admission gate (Do/DoOn): the caller sleeps
-// in the same deterministic poll loop as qosAdmitDo until the window
-// opens, the connection dies, or Op.Deadline passes.
-func (c *Conn) ccAdmitDo(p *sim.Proc, op Op) error {
-	if !c.ccBacklogged() {
-		return nil
-	}
-	ep := c.ep
-	ep.Stats.CcAdmissionWaits++
-	ep.recEvent(c.localID, obs.RecCcBlock, int64(c.cwnd), 1)
-	for {
-		p.Sleep(ccAdmitPoll)
-		if c.failed {
-			return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.failErr)
-		}
-		if c.closed {
-			return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
-		}
-		if op.Deadline > 0 && ep.env.Now() >= op.Deadline {
-			ep.Stats.OpDeadlinesExpired++
-			return fmt.Errorf("core: congestion admission to node %d: %w", c.remoteNode, ErrDeadlineExceeded)
-		}
-		if !c.ccBacklogged() {
-			return nil
-		}
-	}
 }

@@ -192,14 +192,13 @@ type Config struct {
 	// one traffic class (a tenant), connections and operations are
 	// tagged with a class index (Conn.SetClass / Op.Class), and the
 	// endpoint's scheduler serves data frames by deficit-weighted fair
-	// queueing across classes instead of flat round-robin. Per-class
-	// token-bucket rate limits and submission quotas (see QoSClass)
-	// bound how much of the endpoint a single tenant can occupy, so an
-	// elephant-flow tenant degrades gracefully — throttled or paced —
-	// instead of starving everyone else. The fair queues replace the
-	// endpoint's single pair of FIFO scheduler queues with one pair per
-	// class. Empty (the default) disables the layer entirely and keeps
-	// every pinned golden byte-identical.
+	// queueing across the classes. Per-class token-bucket rate limits
+	// and submission quotas (see QoSClass) bound how much of the
+	// endpoint a single tenant can occupy, so an elephant-flow tenant
+	// degrades gracefully — throttled or paced — instead of starving
+	// everyone else. Empty (the default) runs one implicit class
+	// {Weight: 1} with no rate and no quota — plain round-robin over
+	// the connections — and leaves class tags unchecked.
 	QoS []QoSClass
 	// CongestionControl enables the end-to-end congestion layer: an AIMD
 	// congestion window per connection sits between the scheduler and the

@@ -228,10 +228,10 @@ type txOp struct {
 	span      *obs.Span  // causal span (nil unless span recording is on)
 	subs      []multiSub // coalesced sub-ops (nil = ordinary single op)
 
-	// Admission charge held against a QoS class (Config.QoS): released
-	// exactly once when the op completes or fails. qosOps is 0 when no
-	// charge is held (QoS off, probes, receiver-side serves, replayed
-	// read re-syntheses).
+	// Admission charge held against a traffic class (the implicit one
+	// when Config.QoS is empty): released exactly once when the op
+	// completes or fails. qosOps is 0 when no charge is held (probes,
+	// receiver-side serves, replayed read re-syntheses).
 	qosCls   int
 	qosOps   int
 	qosBytes int
@@ -694,7 +694,7 @@ func (c *Conn) ctrlPending() bool {
 // sendNextDataFrame emits one data frame: a queued retransmission first,
 // otherwise the next fragment of the current operation. It returns the
 // payload bytes handed to the wire (0 when the work evaporated), which
-// the QoS scheduler charges against the served class.
+// the scheduler charges against the served class.
 func (c *Conn) sendNextDataFrame() int {
 	for len(c.retransQ) > 0 {
 		if !c.ccRetxOK() {
@@ -1577,9 +1577,7 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	// still holds the admission quota Post charged — return it.
 	for _, op := range c.sq {
 		ep.Stats.OpsFailed++
-		if ep.qosOn() {
-			ep.qosUncharge(c.opClass(op), 1, op.Size)
-		}
+		ep.qosUncharge(c.opClass(op), 1, op.Size)
 		c.pushCompletion(Completion{Op: op, Err: cause})
 	}
 	if n := len(c.sq); n > 0 {

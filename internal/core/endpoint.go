@@ -42,29 +42,18 @@ type Endpoint struct {
 	// rxJobFree recycles the per-frame dispatch records.
 	threadStepFn func()
 	ctrlStepFn   func(any) // arg *Conn: ACK/NACK service
-	sendStepFn   func(any) // arg *Conn: data service
-	qosSendFn    func(any) // arg *Conn: data service charged to qosDispatchCls
+	dataStepFn   func(any) // arg *Conn: data service charged to sendCls
 	dispatchFn   func(any) // arg *rxJob: decoded-frame dispatch
 	fireSigFn    func(any) // arg *sim.Signal: user wake (handle/CQ completion)
 	rxJobFree    []*rxJob
 
-	qosDispatchCls int // class of the in-flight qosSendFn dispatch
-
-	// Connection scheduler: FIFO queues of connections with pending
-	// control or data work. A connection sits
-	// in each queue at most once (inCtrlQ/inSendQ); entries are
-	// re-validated on pop, so a conn whose work evaporated (acked,
-	// closed) costs one skip instead of an O(conns) rescan.
-	ctrlQ connFIFO
-	sendQ connFIFO
-
-	// Multi-tenant QoS (Config.QoS): per-class scheduler and quota
-	// state, plus the DWFQ cursors (see qos.go). nil when the layer is
-	// off.
+	// Connection scheduler: per-class control and data FIFOs, quota
+	// state and the DWFQ cursors (see qos.go). One implicit class when
+	// Config.QoS is empty.
 	qos          []qosClass
-	qosCtrlCur   int  // weighted-round-robin cursor over class ctrl queues
-	qosSendCur   int  // DWFQ cursor over class send queues
-	qosServing   int  // class picked by the last qosPopSend, for the charge
+	ctrlCur      int  // weighted-round-robin cursor over class ctrl queues
+	sendCur      int  // DWFQ cursor over class send queues
+	sendCls      int  // class picked by the last popSend, charged for its frame
 	qosPaceArmed bool // a wire-pacing wake is already scheduled
 
 	notifyAll *sim.Mailbox[Notification]
@@ -147,16 +136,10 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 		ep.kickConn(c)
 		ep.threadStep()
 	}
-	ep.sendStepFn = func(x any) {
-		c := x.(*Conn)
-		c.sendNextDataFrame()
-		ep.kickConn(c)
-		ep.threadStep()
-	}
-	ep.qosSendFn = func(x any) {
+	ep.dataStepFn = func(x any) {
 		c := x.(*Conn)
 		n := c.sendNextDataFrame()
-		ep.qosChargeSend(ep.qosDispatchCls, n)
+		ep.chargeSend(ep.sendCls, n)
 		ep.kickConn(c)
 		ep.threadStep()
 	}
@@ -173,9 +156,7 @@ func NewEndpoint(env *sim.Env, node int, cfg Config, costs hostmodel.Costs, cpus
 	if cfg.TimerWheelTick > 0 {
 		ep.wheel = sim.NewWheel(env, cfg.TimerWheelTick)
 	}
-	if len(cfg.QoS) > 0 {
-		ep.initQoS()
-	}
+	ep.initSched()
 	for _, n := range nics {
 		n.SetHost(ep)
 	}
@@ -261,58 +242,6 @@ func (ep *Endpoint) rearmDaemonTimer(t timer, d sim.Time, fn func()) timer {
 	return ep.env.RearmDaemon(st, d, fn)
 }
 
-// kickConn notes that c may have gained control or data work, enqueues
-// it on the scheduler's control and data queues (at most once each; the
-// class queues under Config.QoS) and wakes the protocol thread. Every
-// conn-side state change that can create work funnels through here via
-// Conn.kick.
-func (ep *Endpoint) kickConn(c *Conn) {
-	if ep.qosOn() {
-		ep.qosKickConn(c)
-	} else {
-		if !c.inCtrlQ && c.ctrlPending() {
-			c.inCtrlQ = true
-			ep.ctrlQ.push(c)
-			ep.recEvent(c.localID, obs.RecSched, 0, int64(ep.ctrlQ.size()))
-		}
-		if !c.inSendQ && c.sendable() {
-			c.inSendQ = true
-			ep.sendQ.push(c)
-			ep.recEvent(c.localID, obs.RecSched, 1, int64(ep.sendQ.size()))
-		}
-	}
-	ep.wakeThread()
-}
-
-// popCtrl returns the next connection with a pending explicit ACK/NACK,
-// discarding entries whose work evaporated since they were queued.
-func (ep *Endpoint) popCtrl() *Conn {
-	for {
-		c := ep.ctrlQ.pop()
-		if c == nil {
-			return nil
-		}
-		c.inCtrlQ = false
-		if c.ctrlPending() {
-			return c
-		}
-	}
-}
-
-// popSend returns the next connection with transmittable data work.
-func (ep *Endpoint) popSend() *Conn {
-	for {
-		c := ep.sendQ.pop()
-		if c == nil {
-			return nil
-		}
-		c.inSendQ = false
-		if c.sendable() {
-			return c
-		}
-	}
-}
-
 // removeConn unlinks a torn-down connection from the endpoint: demux
 // table and handshake dedupe. Scheduler queue entries
 // are left to lazy invalidation (closed conns fail the pop re-check).
@@ -387,7 +316,8 @@ func (ep *Endpoint) SetObs(r *obs.Registry) {
 			emit(obs.Sample{Name: name, Labels: []obs.Label{nl}, Value: v, Type: obs.TypeGauge})
 		}
 		g("core_active_conns", float64(ep.conns.len()))
-		g("core_sched_queue_depth", float64(ep.ctrlQ.size()+ep.sendQ.size()+ep.qosSchedDepth()))
+		ctrl, send := ep.schedDepth()
+		g("core_sched_queue_depth", float64(ctrl+send))
 		g("core_timer_wheel_entries", float64(ep.wheel.Len()))
 	})
 	if ep.qosOn() {
@@ -548,42 +478,29 @@ func (ep *Endpoint) threadStep() {
 		}
 	}
 	// 3+4. Send pending control frames (ACK/NACK), then one data frame
-	// from a connection with window space. Both come from O(1) FIFO pops,
-	// so per-step cost does not grow with the connection count; a
-	// connection with more work re-enqueues at the tail, so service stays
+	// from a connection with window space, by weighted-fair pops across
+	// the class queues. Both are O(1) FIFO pops per class, so per-step
+	// cost does not grow with the connection count; a connection with
+	// more work re-enqueues at the tail, so service within a class stays
 	// fair round-robin.
-	if ep.qosOn() {
-		// Multi-tenant scheduling: weighted-fair pops across the class
-		// queues, with each transmitted data frame charged back to the
-		// class it was served for (deficit and token bucket).
-		if c := ep.qosPopCtrl(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
-			return
-		}
-		if ep.qosSendWork() && ep.qosNICBusy() {
-			// Wire-pacing: with every NIC's transmit queue at the bound,
-			// dispatching now would just bury frames in the NIC FIFO where
-			// DWFQ no longer decides their order. Hold them in the class
-			// queues and come back when the head frame clears the wire.
-			ep.qosArmPace()
-		} else if c := ep.qosPopSend(); c != nil {
-			// The thread loop is strictly serialized (each dispatched
-			// branch calls threadStep again when it finishes), so at most
-			// one data dispatch is in flight and a single field carries
-			// the served class to the charge.
-			ep.qosDispatchCls = ep.qosServing
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.qosSendFn, c)
-			return
-		}
-	} else {
-		if c := ep.popCtrl(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
-			return
-		}
-		if c := ep.popSend(); c != nil {
-			ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.sendStepFn, c)
-			return
-		}
+	if c := ep.popCtrl(); c != nil {
+		ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.AckProc), ep.ctrlStepFn, c)
+		return
+	}
+	if len(ep.qos) > 1 && ep.qosSendWork() && ep.qosNICBusy() {
+		// Wire-pacing: with every NIC's transmit queue at the bound,
+		// dispatching now would just bury frames in the NIC FIFO where
+		// DWFQ no longer decides their order. Hold them in the class
+		// queues and come back when the head frame clears the wire. A
+		// single class has no cross-class order for the FIFO to break.
+		ep.qosArmPace()
+	} else if c := ep.popSend(); c != nil {
+		// The thread loop is strictly serialized (each dispatched branch
+		// calls threadStep again when it finishes), so at most one data
+		// dispatch is in flight and sendCls carries the served class to
+		// the charge.
+		ep.protoRes().SubmitArg(ep.env, ep.protoCost(ep.costs.FrameTx), ep.dataStepFn, c)
+		return
 	}
 	// No work: sleep and unmask (re-raises if anything slipped in).
 	ep.threadActive = false

@@ -76,10 +76,9 @@ func (ep *Endpoint) Health() obs.EndpointHealth {
 		At:           ep.env.Now(),
 		Node:         ep.node,
 		ActiveConns:  ep.conns.len(),
-		SchedCtrlQ:   ep.ctrlQ.size(),
-		SchedSendQ:   ep.sendQ.size(),
 		WheelEntries: ep.wheel.Len(),
 	}
+	h.SchedCtrlQ, h.SchedSendQ = ep.schedDepth()
 	for _, c := range ep.conns.sorted() {
 		h.Conns = append(h.Conns, c.Health())
 	}

@@ -124,7 +124,7 @@ func (c *Conn) checkOp(op Op) error {
 	default:
 		return fmt.Errorf("core: kind %v: %w", op.Kind, ErrBadOpKind)
 	}
-	if op.Class != 0 && len(c.ep.qos) > 0 {
+	if op.Class != 0 && c.ep.qosOn() {
 		if op.Class < 0 || op.Class >= len(c.ep.qos) {
 			return fmt.Errorf("core: class %d with %d configured: %w", op.Class, len(c.ep.qos), ErrBadClass)
 		}
@@ -152,24 +152,14 @@ func (c *Conn) DoOn(p *sim.Proc, cpu *sim.Resource, op Op) (*Handle, error) {
 	if err := c.checkOp(op); err != nil {
 		return nil, err
 	}
+	// Blocking admission: a spent congestion window with a full backlog
+	// behind it, or a class over quota, parks the issuer here — graceful
+	// backpressure — honoring Op.Deadline. The class charge taken rides
+	// the txOp (enqueueOp) and is released on completion.
+	if err := c.admitDo(p, op); err != nil {
+		return nil, err
+	}
 	ep := c.ep
-	if ep.cfg.ccOn() {
-		// Window backpressure: a spent congestion window with a full
-		// backlog behind it blocks the issuer here, honoring Op.Deadline.
-		// This gate runs before the quota gate because it takes no charge
-		// — an error below cannot leak an admission already granted.
-		if err := c.ccAdmitDo(p, op); err != nil {
-			return nil, err
-		}
-	}
-	if ep.qosOn() {
-		// Blocking admission: over-quota issuers wait here for room —
-		// graceful backpressure — honoring Op.Deadline. The charge taken
-		// rides the txOp (enqueueOp) and is released on completion.
-		if _, err := c.qosAdmitDo(p, op); err != nil {
-			return nil, err
-		}
-	}
 	// Snapshot the write payload into a pooled buffer when it fits one
 	// frame (the common case for latency-sensitive small ops); the txOp
 	// owns the buffer until completion or failure releases it.
@@ -236,12 +226,10 @@ func (c *Conn) enqueueOp(op Op, data []byte, dataBuf *frame.Buf, viaCQ bool) *Ha
 		h: h,
 	}
 	c.nextOpID++
-	if ep.qosOn() {
-		// The admission charge (taken in DoOn or Post) transfers onto the
-		// txOp, which releases it exactly once at completion or failure —
-		// surviving reconnect replay, which re-queues these same objects.
-		t.qosCls, t.qosOps, t.qosBytes = c.opClass(op), 1, op.Size
-	}
+	// The admission charge (taken in DoOn or Post) transfers onto the
+	// txOp, which releases it exactly once at completion or failure —
+	// surviving reconnect replay, which re-queues these same objects.
+	t.qosCls, t.qosOps, t.qosBytes = c.opClass(op), 1, op.Size
 	if viaCQ {
 		h.cq = true
 	}
@@ -315,18 +303,8 @@ func (c *Conn) Post(op Op) error {
 	if err := c.checkOp(op); err != nil {
 		return err
 	}
-	// The congestion gate runs before the quota gate: it takes no charge,
-	// so a rejection here cannot leak an admission already taken.
-	if c.ep.cfg.ccOn() {
-		if err := c.ccAdmitFast(); err != nil {
-			return err
-		}
-	}
-	if c.ep.qosOn() {
-		cls, ok := c.qosAdmitFast(op)
-		if !ok {
-			return fmt.Errorf("core: class %d to node %d: %w", cls, c.remoteNode, ErrThrottled)
-		}
+	if err := c.admitFast(op); err != nil {
+		return err
 	}
 	c.sq = append(c.sq, op)
 	c.ep.noteSQDepth(1)
@@ -417,11 +395,11 @@ func (c *Conn) RingOn(p *sim.Proc, cpu *sim.Resource) (int, error) {
 	for i := 0; i < n; {
 		if lim > 0 && coalescable(batch[i], lim) {
 			j, bytes := i, multiPayloadBase
-			// Under QoS a MultiData container carries ONE class's quota
-			// charge, so a run breaks where the effective class changes.
+			// A MultiData container carries ONE class's quota charge, so
+			// a run breaks where the effective class changes.
 			for j < n && coalescable(batch[j], lim) &&
 				bytes+frame.SubOpOverhead+batch[j].Size <= frame.MaxPayload &&
-				(!ep.qosOn() || c.opClass(batch[j]) == c.opClass(batch[i])) {
+				c.opClass(batch[j]) == c.opClass(batch[i]) {
 				bytes += frame.SubOpOverhead + batch[j].Size
 				j++
 			}
@@ -513,13 +491,11 @@ func (c *Conn) enqueueMulti(ops []Op, data [][]byte) {
 		id: recs[len(recs)-1].id, opType: frame.OpWrite,
 		data: payload, dataBuf: pb, total: uint32(len(payload)), subs: recs,
 	}
-	if ep.qosOn() {
-		// One container, one class (Ring breaks coalesce runs on class
-		// boundaries): the batch's Post-time charges ride it together.
-		t.qosCls, t.qosOps = c.opClass(ops[0]), len(ops)
-		for _, op := range ops {
-			t.qosBytes += op.Size
-		}
+	// One container, one class (Ring breaks coalesce runs on class
+	// boundaries): the batch's Post-time charges ride it together.
+	t.qosCls, t.qosOps = c.opClass(ops[0]), len(ops)
+	for _, op := range ops {
+		t.qosBytes += op.Size
 	}
 	if fenced {
 		// One frame carries every sub-op, so one txFenced entry (the

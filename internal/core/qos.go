@@ -8,16 +8,18 @@ import (
 	"multiedge/internal/sim"
 )
 
-// Multi-tenant quality of service (Config.QoS). The endpoint's FIFO
-// connection scheduler is extended with one control and one
-// data service queue PER CLASS, and the protocol thread picks the next
-// connection by deficit-weighted fair queueing instead of flat
-// round-robin: each visit grants a class Weight × qosQuantum bytes of
-// deficit, every transmitted frame is charged against it, and the
-// cursor only advances once the deficit is spent — so when every class
-// is backlogged, class i holds Weight_i/ΣWeight of the transmit slots
-// regardless of how many connections (or how large the operations) a
-// tenant throws at the endpoint.
+// The connection scheduler of the protocol thread (IPPS'07 §2.6), with
+// multi-tenant quality of service (Config.QoS). Every endpoint runs one
+// control and one data service queue PER CLASS and picks the next
+// connection by deficit-weighted fair queueing: each visit grants a
+// class Weight × qosQuantum bytes of deficit, every transmitted frame is
+// charged against it, and the cursor only advances once the deficit is
+// spent — so when every class is backlogged, class i holds
+// Weight_i/ΣWeight of the transmit slots regardless of how many
+// connections (or how large the operations) a tenant throws at the
+// endpoint. With Config.QoS empty the endpoint runs one implicit class
+// {Weight: 1} with no rate and no quota: its queues are plain FIFOs and
+// every connection is served round-robin.
 //
 // Two admission-side mechanisms bound what a tenant can occupy before
 // scheduling even starts. A token bucket (RateBps/Burst) paces the
@@ -28,7 +30,8 @@ import (
 // operations and payload bytes — the kernel-buffer/journal memory it
 // pins — with explicit backpressure: fail-fast submissions (Post)
 // return ErrThrottled, blocking submissions (Do) wait for room honoring
-// Op.Deadline.
+// Op.Deadline. The congestion window's backlog gate (cc.go) shares the
+// same two admission entry points.
 
 // qosQuantum is the deficit granted per unit of class weight per
 // scheduler visit, sized to one full-MTU frame so a weight-1 class gets
@@ -39,10 +42,11 @@ const qosQuantum = 1500
 // tiny (or evaporated) frames cannot hold the cursor forever.
 const qosMinCharge = 64
 
-// qosAdmitPoll is the blocking-admission polling interval: a Do caller
-// over quota re-checks for room at this cadence (the same deterministic
-// sleep-poll pattern Conn.Close uses to drain).
-const qosAdmitPoll = 20 * sim.Microsecond
+// admitPoll is the blocking-admission polling interval: a Do caller
+// pushed back by the congestion window or its class quota re-checks at
+// this cadence (the same deterministic sleep-poll pattern Conn.Close
+// uses to drain).
+const admitPoll = 20 * sim.Microsecond
 
 // qosNICQueueBound is the wire-pacing depth: while every NIC already
 // has this many frames queued for transmit, the scheduler holds further
@@ -53,6 +57,8 @@ const qosNICQueueBound = 2
 
 // qosClass is the endpoint's live state for one traffic class.
 type qosClass struct {
+	cfg QoSClass // the class's own copy of its configuration
+
 	ctrlQ connFIFO // conns with pending explicit ACK/NACK work
 	sendQ connFIFO // conns with transmittable data work
 
@@ -80,15 +86,22 @@ type qosClass struct {
 	bytesSent  uint64
 }
 
-// qosOn reports whether the QoS layer is active at this endpoint.
-func (ep *Endpoint) qosOn() bool { return len(ep.qos) > 0 }
+// qosOn reports whether tenant classes are configured at this endpoint
+// (Config.QoS non-empty). The scheduler and admission paths do not ask:
+// without a table they run the one implicit class.
+func (ep *Endpoint) qosOn() bool { return len(ep.cfg.QoS) > 0 }
 
-// initQoS builds the per-class scheduler state from Config.QoS.
-func (ep *Endpoint) initQoS() {
-	ep.qos = make([]qosClass, len(ep.cfg.QoS))
-	for i := range ep.cfg.QoS {
-		cc := &ep.cfg.QoS[i]
+// initSched builds the per-class scheduler state from Config.QoS, or the
+// single implicit class {Weight: 1} when the table is empty.
+func (ep *Endpoint) initSched() {
+	classes := ep.cfg.QoS
+	if len(classes) == 0 {
+		classes = []QoSClass{{Weight: 1}}
+	}
+	ep.qos = make([]qosClass, len(classes))
+	for i, cc := range classes {
 		q := &ep.qos[i]
+		q.cfg = cc
 		if cc.RateBps > 0 {
 			q.burst = int64(cc.Burst)
 			if q.burst <= 0 {
@@ -100,8 +113,9 @@ func (ep *Endpoint) initQoS() {
 }
 
 // classIdx is the conn's effective class, clamped into the configured
-// table (a conn tagged before the endpoint's table shrank falls back to
-// the default class instead of indexing out of bounds).
+// table (a conn tagged before the endpoint's table shrank, or tagged
+// with QoS off, falls back to the default class instead of indexing out
+// of bounds).
 func (c *Conn) classIdx() int {
 	if c.class < 0 || c.class >= len(c.ep.qos) {
 		return 0
@@ -135,7 +149,7 @@ func (c *Conn) SetClass(cls int) {
 func (c *Conn) Class() int { return c.class }
 
 // ---------------------------------------------------------------------
-// Submission quotas (admission control).
+// Admission: congestion backlog and submission quotas.
 // ---------------------------------------------------------------------
 
 // qosHasRoom reports whether class cls can admit one more operation of
@@ -144,14 +158,13 @@ func (c *Conn) Class() int { return c.class }
 // soft by at most one operation.
 func (ep *Endpoint) qosHasRoom(cls, size int) bool {
 	q := &ep.qos[cls]
-	cfg := &ep.cfg.QoS[cls]
 	if q.pendingOps == 0 {
 		return true
 	}
-	if cfg.MaxQueued > 0 && q.pendingOps >= cfg.MaxQueued {
+	if q.cfg.MaxQueued > 0 && q.pendingOps >= q.cfg.MaxQueued {
 		return false
 	}
-	if cfg.MaxQueuedBytes > 0 && q.pendingBytes+size > cfg.MaxQueuedBytes {
+	if q.cfg.MaxQueuedBytes > 0 && q.pendingBytes+size > q.cfg.MaxQueuedBytes {
 		return false
 	}
 	return true
@@ -193,52 +206,75 @@ func (c *Conn) qosRelease(t *txOp) {
 	t.qosBytes = 0
 }
 
-// qosAdmitFast is the fail-fast admission check (Post): over quota
-// returns ErrThrottled immediately, otherwise the charge is taken.
-func (c *Conn) qosAdmitFast(op Op) (int, bool) {
+// admitFast is the fail-fast admission gate (Post): a spent congestion
+// window with a full backlog behind it, or a class over quota, returns
+// ErrThrottled immediately; otherwise the class charge is taken. The
+// congestion gate runs first because it takes no charge, so a rejection
+// there cannot leak an admission.
+func (c *Conn) admitFast(op Op) error {
 	ep := c.ep
+	if c.ccBacklogged() {
+		ep.Stats.CcOpsThrottled++
+		ep.recEvent(c.localID, obs.RecCcBlock, int64(c.cwnd), 0)
+		return fmt.Errorf("core: congestion window backlog to node %d: %w", c.remoteNode, ErrThrottled)
+	}
 	cls := c.opClass(op)
 	if !ep.qosHasRoom(cls, op.Size) {
 		ep.qos[cls].throttled++
 		ep.Stats.QosOpsThrottled++
 		ep.recEvent(c.localID, obs.RecThrottled, int64(cls), 0)
-		return cls, false
+		return fmt.Errorf("core: class %d to node %d: %w", cls, c.remoteNode, ErrThrottled)
 	}
 	ep.qosCharge(cls, op.Size)
-	return cls, true
+	return nil
 }
 
-// qosAdmitDo is the blocking admission path (Do/DoOn): the caller
-// sleeps in a deterministic poll loop until its class has room, the
-// connection dies, or Op.Deadline passes — overload backpressure
-// instead of unbounded queueing.
-func (c *Conn) qosAdmitDo(p *sim.Proc, op Op) (int, error) {
+// admitDo is the blocking admission gate (Do/DoOn): the caller sleeps
+// in a deterministic poll loop until the congestion window is not
+// backlogged and its class has room, the connection dies, or
+// Op.Deadline passes — overload backpressure instead of unbounded
+// queueing. Each gate's wait counter ticks once, the first time that
+// gate is the one holding the caller back (the congestion gate is
+// checked first); the class charge is taken only on admission.
+func (c *Conn) admitDo(p *sim.Proc, op Op) error {
 	ep := c.ep
 	cls := c.opClass(op)
-	if ep.qosHasRoom(cls, op.Size) {
-		ep.qosCharge(cls, op.Size)
-		return cls, nil
-	}
-	ep.qos[cls].waits++
-	ep.Stats.QosAdmissionWaits++
-	ep.recEvent(c.localID, obs.RecThrottled, int64(cls), 1)
+	ccWaited, qosWaited := false, false
 	for {
-		p.Sleep(qosAdmitPoll)
+		ccBlocked := c.ccBacklogged()
+		switch {
+		case ccBlocked:
+			if !ccWaited {
+				ccWaited = true
+				ep.Stats.CcAdmissionWaits++
+				ep.recEvent(c.localID, obs.RecCcBlock, int64(c.cwnd), 1)
+			}
+		case !ep.qosHasRoom(cls, op.Size):
+			if !qosWaited {
+				qosWaited = true
+				ep.qos[cls].waits++
+				ep.Stats.QosAdmissionWaits++
+				ep.recEvent(c.localID, obs.RecThrottled, int64(cls), 1)
+			}
+		default:
+			ep.qosCharge(cls, op.Size)
+			return nil
+		}
+		p.Sleep(admitPoll)
 		if c.failed {
-			return cls, fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.failErr)
+			return fmt.Errorf("core: operation on failed connection to node %d: %w", c.remoteNode, c.failErr)
 		}
 		if c.closed {
-			return cls, fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
+			return fmt.Errorf("core: operation on closed connection to node %d: %w", c.remoteNode, ErrClosed)
 		}
 		if op.Deadline > 0 && ep.env.Now() >= op.Deadline {
 			// The operation never started (no OpsStarted/OpsFailed): only
 			// the deadline-release counter ticks, like any expired waiter.
 			ep.Stats.OpDeadlinesExpired++
-			return cls, fmt.Errorf("core: class %d admission to node %d: %w", cls, c.remoteNode, ErrDeadlineExceeded)
-		}
-		if ep.qosHasRoom(cls, op.Size) {
-			ep.qosCharge(cls, op.Size)
-			return cls, nil
+			if ccBlocked {
+				return fmt.Errorf("core: congestion admission to node %d: %w", c.remoteNode, ErrDeadlineExceeded)
+			}
+			return fmt.Errorf("core: class %d admission to node %d: %w", cls, c.remoteNode, ErrDeadlineExceeded)
 		}
 	}
 }
@@ -253,7 +289,7 @@ func (c *Conn) qosAdmitDo(p *sim.Proc, op Op) (int, error) {
 // resets the anchor so idle time cannot bank extra burst.
 func (ep *Endpoint) qosRefill(cls int) {
 	q := &ep.qos[cls]
-	rate := ep.cfg.QoS[cls].RateBps
+	rate := q.cfg.RateBps
 	if rate <= 0 {
 		return
 	}
@@ -282,7 +318,7 @@ func (ep *Endpoint) qosRefill(cls int) {
 // still has work, so the simulation must not drain under it.
 func (ep *Endpoint) qosRateOK(cls int) bool {
 	q := &ep.qos[cls]
-	rate := ep.cfg.QoS[cls].RateBps
+	rate := q.cfg.RateBps
 	if rate <= 0 {
 		return true
 	}
@@ -309,11 +345,14 @@ func (ep *Endpoint) qosRateOK(cls int) bool {
 // Scheduler (DWFQ pops).
 // ---------------------------------------------------------------------
 
-// qosKickConn enqueues c on its class queues, mirroring the flat
-// scheduler's bookkeeping (once per queue, lazily re-validated on pop).
-func (ep *Endpoint) qosKickConn(c *Conn) {
-	cls := c.classIdx()
-	q := &ep.qos[cls]
+// kickConn notes that c may have gained control or data work, enqueues
+// it on its class's control and data queues (at most once each; entries
+// are re-validated on pop, so a conn whose work evaporated — acked,
+// closed — costs one skip instead of an O(conns) rescan) and wakes the
+// protocol thread. Every conn-side state change that can create work
+// funnels through here via Conn.kick.
+func (ep *Endpoint) kickConn(c *Conn) {
+	q := &ep.qos[c.classIdx()]
 	if !c.inCtrlQ && c.ctrlPending() {
 		c.inCtrlQ = true
 		q.ctrlQ.push(c)
@@ -324,25 +363,26 @@ func (ep *Endpoint) qosKickConn(c *Conn) {
 		q.sendQ.push(c)
 		ep.recEvent(c.localID, obs.RecSched, 1, int64(q.sendQ.size()))
 	}
+	ep.wakeThread()
 }
 
-// qosPopCtrl picks the next connection with pending control work under
+// popCtrl picks the next connection with pending control work under
 // weighted round-robin across classes: each visit lets a class send up
 // to Weight control frames before the cursor moves on. Control frames
 // are fixed-size, so frame-denominated deficits are exact, and no token
 // bucket applies — acknowledgements repair the window that unblocks
 // everyone else.
-func (ep *Endpoint) qosPopCtrl() *Conn {
+func (ep *Endpoint) popCtrl() *Conn {
 	n := len(ep.qos)
 	for visited := 0; visited < n; visited++ {
-		q := &ep.qos[ep.qosCtrlCur]
+		q := &ep.qos[ep.ctrlCur]
 		if q.ctrlQ.empty() {
 			q.ctrlBudget = 0
-			ep.qosCtrlCur = (ep.qosCtrlCur + 1) % n
+			ep.ctrlCur = (ep.ctrlCur + 1) % n
 			continue
 		}
 		if q.ctrlBudget <= 0 {
-			q.ctrlBudget = ep.cfg.QoS[ep.qosCtrlCur].Weight
+			q.ctrlBudget = q.cfg.Weight
 		}
 		for q.ctrlBudget > 0 {
 			c := q.ctrlQ.pop()
@@ -353,41 +393,41 @@ func (ep *Endpoint) qosPopCtrl() *Conn {
 			if c.ctrlPending() {
 				q.ctrlBudget--
 				if q.ctrlBudget == 0 {
-					ep.qosCtrlCur = (ep.qosCtrlCur + 1) % n
+					ep.ctrlCur = (ep.ctrlCur + 1) % n
 				}
 				return c
 			}
 		}
 		q.ctrlBudget = 0
-		ep.qosCtrlCur = (ep.qosCtrlCur + 1) % n
+		ep.ctrlCur = (ep.ctrlCur + 1) % n
 	}
 	return nil
 }
 
-// qosPopSend picks the next connection with transmittable data work by
+// popSend picks the next connection with transmittable data work by
 // deficit-weighted fair queueing: the cursor parks on a class while it
 // has deficit and work, empty or rate-parked classes are skipped (their
 // deficit resets so idle classes cannot bank service), and each visit
 // of a backlogged class grants Weight × qosQuantum fresh deficit. The
-// class actually served is recorded in qosServing for the post-send
+// class actually served is recorded in sendCls for the post-send
 // charge.
-func (ep *Endpoint) qosPopSend() *Conn {
+func (ep *Endpoint) popSend() *Conn {
 	n := len(ep.qos)
 	for visited := 0; visited < n; visited++ {
-		cls := ep.qosSendCur
+		cls := ep.sendCur
 		q := &ep.qos[cls]
 		if q.sendQ.empty() {
 			q.deficit = 0
-			ep.qosSendCur = (ep.qosSendCur + 1) % n
+			ep.sendCur = (ep.sendCur + 1) % n
 			continue
 		}
 		if !ep.qosRateOK(cls) {
 			q.deficit = 0
-			ep.qosSendCur = (ep.qosSendCur + 1) % n
+			ep.sendCur = (ep.sendCur + 1) % n
 			continue
 		}
 		if q.deficit <= 0 {
-			q.deficit += int64(ep.cfg.QoS[cls].Weight) * qosQuantum
+			q.deficit += int64(q.cfg.Weight) * qosQuantum
 		}
 		for {
 			c := q.sendQ.pop()
@@ -396,21 +436,21 @@ func (ep *Endpoint) qosPopSend() *Conn {
 			}
 			c.inSendQ = false
 			if c.sendable() {
-				ep.qosServing = cls
+				ep.sendCls = cls
 				return c
 			}
 		}
 		q.deficit = 0
-		ep.qosSendCur = (ep.qosSendCur + 1) % n
+		ep.sendCur = (ep.sendCur + 1) % n
 	}
 	return nil
 }
 
-// qosChargeSend debits the served class for one transmitted data frame:
+// chargeSend debits the served class for one transmitted data frame:
 // n payload bytes against the deficit (floored at qosMinCharge so tiny
 // frames still consume service) and against the token bucket. A spent
 // deficit advances the cursor — the class's turn is over.
-func (ep *Endpoint) qosChargeSend(cls, n int) {
+func (ep *Endpoint) chargeSend(cls, n int) {
 	q := &ep.qos[cls]
 	q.framesSent++
 	q.bytesSent += uint64(n)
@@ -420,11 +460,11 @@ func (ep *Endpoint) qosChargeSend(cls, n int) {
 		charge = qosMinCharge
 	}
 	q.deficit -= charge
-	if ep.cfg.QoS[cls].RateBps > 0 {
+	if q.cfg.RateBps > 0 {
 		q.tokens -= int64(n)
 	}
-	if q.deficit <= 0 && ep.qosSendCur == cls {
-		ep.qosSendCur = (ep.qosSendCur + 1) % len(ep.qos)
+	if q.deficit <= 0 && ep.sendCur == cls {
+		ep.sendCur = (ep.sendCur + 1) % len(ep.qos)
 	}
 }
 
@@ -481,14 +521,14 @@ func (ep *Endpoint) qosArmPace() {
 	})
 }
 
-// qosSchedDepth is the total number of queued scheduler entries across
-// all class queues (the QoS counterpart of ctrlQ.size()+sendQ.size()).
-func (ep *Endpoint) qosSchedDepth() int {
-	d := 0
+// schedDepth returns the queued scheduler entries across all class
+// queues: control-service and data-service totals.
+func (ep *Endpoint) schedDepth() (ctrl, send int) {
 	for i := range ep.qos {
-		d += ep.qos[i].ctrlQ.size() + ep.qos[i].sendQ.size()
+		ctrl += ep.qos[i].ctrlQ.size()
+		send += ep.qos[i].sendQ.size()
 	}
-	return d
+	return ctrl, send
 }
 
 // qosCollector publishes the per-class qos_* series at gather time with
@@ -512,7 +552,7 @@ func (ep *Endpoint) qosCollector() obs.Collector {
 			}
 			g("qos_pending_ops", float64(q.pendingOps))
 			g("qos_pending_bytes", float64(q.pendingBytes))
-			if ep.cfg.QoS[i].RateBps > 0 {
+			if q.cfg.RateBps > 0 {
 				g("qos_tokens", float64(q.tokens))
 			}
 			c("qos_admitted_total", q.admitted)

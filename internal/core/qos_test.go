@@ -152,3 +152,147 @@ func TestQoSDoBlocksAndHonorsDeadline(t *testing.T) {
 		t.Errorf("OpDeadlinesExpired = %d; want 1", n)
 	}
 }
+
+// TestQoSHealthSchedDepth: Endpoint.Health reports the scheduler depth
+// summed over every class queue, so two backlogged tenants read as two
+// queued connections instead of an idle scheduler.
+func TestQoSHealthSchedDepth(t *testing.T) {
+	cfg := cluster.OneLink1G(2)
+	cfg.Core.QoS = []core.QoSClass{{Weight: 1}, {Weight: 1}}
+	cl := cluster.New(cfg)
+	ep := cl.Nodes[0].EP
+	const size = 256 << 10
+	src := ep.Alloc(size)
+	dst := cl.Nodes[1].EP.Alloc(2 * size)
+
+	peak, finished := 0, 0
+	for cls := 0; cls < 2; cls++ {
+		cls := cls
+		cl.Env.Go("tenant", func(p *sim.Proc) {
+			c := ep.Dial(p, 1, 0)
+			c.SetClass(cls)
+			h, err := c.Do(p, core.Op{Remote: dst + uint64(cls*size), Local: src, Size: size, Kind: frame.OpWrite})
+			if err != nil {
+				t.Errorf("class %d write: %v", cls, err)
+				return
+			}
+			h.Wait(p)
+			finished++
+			c.Close(p)
+		})
+	}
+	cl.Env.Go("sampler", func(p *sim.Proc) {
+		for finished < 2 {
+			h := ep.Health()
+			if d := h.SchedCtrlQ + h.SchedSendQ; d > peak {
+				peak = d
+			}
+			p.Sleep(5 * sim.Microsecond)
+		}
+	})
+	cl.Env.RunUntil(sim.Second)
+	if finished != 2 {
+		t.Fatalf("%d of 2 tenant writes finished", finished)
+	}
+	if peak < 2 {
+		t.Errorf("peak Health scheduler depth = %d with two backlogged classes; want >= 2", peak)
+	}
+}
+
+// TestQoSOffIsOneClass pins the single-scheduler contract: with
+// Config.QoS nil the endpoint runs the same implicit class as an
+// explicit one-class table {Weight: 1}, so the two give the identical
+// run — traffic report, end time and every endpoint's Stats — on a
+// lossy two-rail stream and on a congestion-controlled fan-in whose
+// small backlog parks issuers in blocking admission.
+func TestQoSOffIsOneClass(t *testing.T) {
+	lossy := cluster.TwoLinkUnordered1G(2)
+	lossy.Link.LossProb = 0.01
+	fanin := cluster.OneLink1G(9)
+	fanin.EcnThreshold = 8
+	fanin.Core.CongestionControl = core.CCConfig{Enable: true, Backlog: 4}
+	cases := []struct {
+		name                string
+		cfg                 cluster.Config
+		connsPerClient, ops int
+		size                int
+		exercised           func(s core.Stats) bool // the layer the case exists for ran
+	}{
+		{"lossy-2rail-stream", lossy, 1, 8, 64 << 10,
+			func(s core.Stats) bool { return s.Retransmissions > 0 }},
+		{"cc-fanin", fanin, 2, 16, 8 << 10,
+			func(s core.Stats) bool { return s.CcAdmissionWaits > 0 && s.CcCwndCuts > 0 }},
+	}
+	type outcome struct {
+		net   cluster.NetReport
+		end   sim.Time
+		stats []core.Stats
+	}
+	run := func(cfg cluster.Config, connsPerClient, ops, size int) outcome {
+		cl := cluster.New(cfg)
+		server := cl.Nodes[0].EP
+		var end sim.Time
+		live := 0
+		for n := 1; n < cfg.Nodes; n++ {
+			ep := cl.Nodes[n].EP
+			for k := 0; k < connsPerClient; k++ {
+				live++
+				cl.Env.Go("client", func(p *sim.Proc) {
+					c := ep.Dial(p, 0, 0)
+					src := ep.Alloc(size)
+					dst := server.Alloc(ops * size)
+					hs := make([]*core.Handle, 0, ops)
+					for i := 0; i < ops; i++ {
+						h, err := c.Do(p, core.Op{Remote: dst + uint64(i*size), Local: src, Size: size, Kind: frame.OpWrite})
+						if err != nil {
+							t.Errorf("node %d write %d: %v", ep.Node(), i, err)
+							return
+						}
+						hs = append(hs, h)
+					}
+					for _, h := range hs {
+						h.Wait(p)
+						if err := h.Err(); err != nil {
+							t.Errorf("node %d write: %v", ep.Node(), err)
+						}
+					}
+					if live--; live == 0 {
+						end = cl.Env.Now()
+					}
+					c.Close(p)
+				})
+			}
+		}
+		cl.Env.RunUntil(10 * sim.Second)
+		if live != 0 {
+			t.Fatalf("%d client conns never finished", live)
+		}
+		o := outcome{net: cl.Collect(), end: end}
+		for _, nd := range cl.Nodes {
+			o.stats = append(o.stats, nd.EP.Stats)
+		}
+		return o
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			off := run(tc.cfg, tc.connsPerClient, tc.ops, tc.size)
+			one := tc.cfg
+			one.Core.QoS = []core.QoSClass{{Weight: 1}}
+			on := run(one, tc.connsPerClient, tc.ops, tc.size)
+			if !tc.exercised(off.net.Proto) {
+				t.Fatalf("scenario did not exercise its layer: %+v", off.net.Proto)
+			}
+			if off.end != on.end {
+				t.Errorf("end time: QoS off %v, one class %v", off.end, on.end)
+			}
+			if off.net != on.net {
+				t.Errorf("NetReport differs:\n  off %+v\n  one %+v", off.net, on.net)
+			}
+			for i := range off.stats {
+				if off.stats[i] != on.stats[i] {
+					t.Errorf("node %d Stats differ:\n  off %+v\n  one %+v", i, off.stats[i], on.stats[i])
+				}
+			}
+		})
+	}
+}

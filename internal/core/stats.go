@@ -65,14 +65,16 @@ type Stats struct {
 	ReplayedBytes    uint64 // payload bytes re-issued by replay
 	Abandons         uint64 // conns terminally failed by Conn.Abandon (svc failover)
 
-	// Multi-tenant QoS (Config.QoS). Per-class breakdowns are published
-	// by the endpoint's qos collector; these flat totals feed the
-	// cluster-wide aggregation and diff reports.
-	QosOpsAdmitted    uint64 // operations admitted under a class quota
+	// Class scheduler and admission (Config.QoS). Per-class breakdowns
+	// are published by the endpoint's qos collector when classes are
+	// configured; these flat totals feed the cluster-wide aggregation
+	// and diff reports. Admissions and scheduled frames count on every
+	// endpoint — without Config.QoS under the one implicit class.
+	QosOpsAdmitted    uint64 // operations admitted into a class (every issued or posted op)
 	QosOpsThrottled   uint64 // fail-fast submissions refused with ErrThrottled
 	QosAdmissionWaits uint64 // blocking submissions that had to wait for room
 	QosRateDeferrals  uint64 // scheduler visits deferred by an empty token bucket
-	QosSchedFrames    uint64 // data frames dispatched by the DWFQ scheduler
+	QosSchedFrames    uint64 // data frames dispatched by the DWFQ scheduler (every data send)
 
 	// Congestion control (Config.CongestionControl). The ECN counters
 	// tick whenever marks flow (a switch threshold is armed), even with
