@@ -240,13 +240,16 @@ func main() {
 		if *quick {
 			count = 2048
 		}
-		out, results := bench.RenderSmallOps(count)
+		out, ok, results := bench.RenderSmallOps(count)
 		fmt.Print(out)
 		doc := bench.NewBenchDoc("smallops")
 		for _, r := range results {
 			doc.Rows = append(doc.Rows, r.BenchRow())
 		}
 		writeBench(stampAllocs(doc))
+		if !ok {
+			os.Exit(1)
+		}
 	case *faninFlag:
 		counts, err := parseConns(*faninConns)
 		if err != nil {

@@ -163,54 +163,21 @@ func CompareBench(base, cur *BenchDoc) []string {
 
 // BenchRow converts one fan-in measurement into a bench-document row.
 func (r FaninResult) BenchRow() BenchRow {
-	row := BenchRow{
-		Name:       fmt.Sprintf("fanin-%d", r.Conns),
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P95Us:      r.P95Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"conns":          float64(r.Conns),
-			"client_nodes":   float64(r.ClientNodes),
-			"pending_events": float64(r.PendingEvents),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
+	return benchRow(fmt.Sprintf("fanin-%d", r.Conns), r.latency, r.gates, map[string]float64{
+		"conns":        float64(r.Conns),
+		"client_nodes": float64(r.ClientNodes),
+	})
 }
 
 // BenchRow converts one noisy-neighbor phase into a bench-document
 // row. The latency percentiles are the victim tenant's closed-loop op
 // latencies — the figures the QoS isolation ratchet watches.
 func (r NoisyResult) BenchRow() BenchRow {
-	row := BenchRow{
-		Name:      "noisy-" + r.Phase,
-		Ops:       r.VictimOps,
-		OpsPerSec: r.OpsPerSec,
-		P50Us:     r.P50Us,
-		P95Us:     r.P95Us,
-		P99Us:     r.P99Us,
-		Extra: map[string]float64{
-			"flood_ops":          float64(r.FloodOps),
-			"qos_waits":          float64(r.AdmissionWaits),
-			"qos_rate_deferrals": float64(r.RateDeferrals),
-			"pending_events":     float64(r.PendingEvents),
-			"active_conns":       float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
+	return benchRow("noisy-"+r.Phase, r.latency, r.gates, map[string]float64{
+		"flood_ops":          float64(r.FloodOps),
+		"qos_waits":          float64(r.AdmissionWaits),
+		"qos_rate_deferrals": float64(r.RateDeferrals),
+	})
 }
 
 // BenchRow converts one incast phase into a bench-document row.
@@ -219,60 +186,30 @@ func (r IncastResult) BenchRow() BenchRow {
 	if r.CC {
 		mode = "ccon"
 	}
-	row := BenchRow{
-		Name:       fmt.Sprintf("incast-%d-%s", r.Senders, mode),
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P95Us:      r.P95Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"utilization":    r.Utilization,
-			"jain":           r.Jain,
-			"failed_ops":     float64(r.Failed),
-			"peer_deaths":    float64(r.PeerDeaths),
-			"ecn_marks":      float64(r.EcnMarks),
-			"cwnd_cuts":      float64(r.CwndCuts),
-			"switch_drops":   float64(r.SwitchDrops),
-			"retrans":        float64(r.Retrans),
-			"pending_events": float64(r.PendingEvents),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
+	return benchRow(fmt.Sprintf("incast-%d-%s", r.Senders, mode), r.latency, r.gates, map[string]float64{
+		"utilization":  r.Utilization,
+		"jain":         r.Jain,
+		"failed_ops":   float64(r.Failed),
+		"peer_deaths":  float64(r.PeerDeaths),
+		"ecn_marks":    float64(r.EcnMarks),
+		"cwnd_cuts":    float64(r.CwndCuts),
+		"switch_drops": float64(r.SwitchDrops),
+		"retrans":      float64(r.Retrans),
+	})
 }
 
 // BenchRow converts one parking-lot phase into a bench-document row.
+// The row ratchets the victim's p50 and p99 only; it carries no p95.
 func (r ParkingLotResult) BenchRow() BenchRow {
 	mode := "rr"
 	if r.Adaptive {
 		mode = "adaptive"
 	}
-	row := BenchRow{
-		Name:       "parkinglot-" + mode,
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"rail1_share":    r.Rail1Share,
-			"bg_ops":         float64(r.BgOps),
-			"pending_events": float64(r.PendingEvents),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
+	row := benchRow("parkinglot-"+mode, r.latency, r.gates, map[string]float64{
+		"rail1_share": r.Rail1Share,
+		"bg_ops":      float64(r.BgOps),
+	})
+	row.P95Us = 0
 	return row
 }
 
@@ -286,12 +223,12 @@ func (r CrashloopResult) BenchRow() BenchRow {
 		Ops:   r.Transfers,
 		P50Us: r.RecoverP50.Micros(),
 		P99Us: r.RecoverMax.Micros(),
-		Extra: map[string]float64{
+		Extra: r.addExtras(map[string]float64{
 			"recovered":    float64(r.Recovered),
 			"cycles":       float64(r.Opts.Cycles),
 			"reconnects":   float64(r.Reconnects),
 			"replayed_ops": float64(r.ReplayedOps),
-		},
+		}),
 	}
 	if r.EndedAt > 0 {
 		row.OpsPerSec = float64(r.Transfers) / r.EndedAt.Seconds()
@@ -314,6 +251,8 @@ func (r SmallOpResult) BenchRow() BenchRow {
 		Extra: map[string]float64{
 			"doorbells":        float64(r.Doorbells),
 			"coalesced_frames": float64(r.CoalescedFrames),
+			"failed_ops":       float64(r.Failed),
+			"data_ok":          boolFloat(r.DataOK),
 		},
 	}
 }

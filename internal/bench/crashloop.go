@@ -9,7 +9,6 @@ import (
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
 
@@ -53,16 +52,8 @@ type CrashloopResult struct {
 	RecoverMax sim.Time
 	EndedAt    sim.Time // virtual time at run end
 
-	// Gates.
-	DataOK        bool
-	PendingLive   int // live sim events left after teardown (leak)
-	PendingEvents int // total sim events left after teardown
-	ActiveConns   int // conns still tabled on either endpoint (leak)
-
-	// Observability artifacts (see FaninResult).
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
+	gates
+	artifacts
 }
 
 const crashloopSlots = 4
@@ -80,17 +71,9 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 	// The budget must outlast Down at the smallest backoff base; the
 	// point of the loop is recovery, not budget exhaustion.
 	cfg.Core.MaxReconnects = 32
-	cfg.Obs = o.Obs
-	cfg.Obs.Recorder = !o.DisableRecorder
-	cl := cluster.New(cfg)
+	h := newHarness("crashloop", cfg, o.Obs, o.DisableRecorder)
+	cl := h.cl
 	c01, _ := cl.Pair()
-
-	// The driver pauses/resumes node 1; note each action so a gate
-	// failure's post-mortem can interleave causes with effects.
-	var faults []obs.TimelineNote
-	fault := func(what string) {
-		faults = append(faults, obs.TimelineNote{At: cl.Env.Now(), Text: what})
-	}
 
 	src := cl.Nodes[0].EP.Alloc(crashloopSlots * o.Bytes)
 	dst := cl.Nodes[1].EP.Alloc(crashloopSlots * o.Bytes)
@@ -107,11 +90,9 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 		for i := 0; !done; i++ {
 			off := uint64(i%crashloopSlots) * uint64(o.Bytes)
 			faninFill(mem0[src+off:src+off+uint64(o.Bytes)], byte(3+i))
-			h := c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off,
-				Size: o.Bytes, Kind: frame.OpWrite})
-			h.Wait(p)
-			if h.Err() != nil {
-				dataOK = false
+			if err := doWait(p, c01, core.Op{Remote: dst + off, Local: src + off,
+				Size: o.Bytes, Kind: frame.OpWrite}); err != nil {
+				h.fail(1, err)
 				break
 			}
 			if !bytes.Equal(mem1[dst+off:dst+off+uint64(o.Bytes)],
@@ -126,38 +107,31 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 		}
 		c01.Close(p)
 	})
+	// The driver pauses/resumes node 1 and notes each action so a gate
+	// failure's post-mortem can interleave causes with effects.
 	cl.Env.Go("crashloop-driver", func(p *sim.Proc) {
 		defer func() { done = true }()
 		for cycle := 0; cycle < o.Cycles; cycle++ {
 			p.Sleep(20 * sim.Millisecond) // healthy traffic between crashes
 			cl.PauseNode(1)
-			fault(fmt.Sprintf("cycle %d: pause node 1 for %v", cycle, o.Down))
+			h.note(fmt.Sprintf("cycle %d: pause node 1 for %v", cycle, o.Down))
 			p.Sleep(o.Down)
 			cl.ResumeNode(1)
-			fault(fmt.Sprintf("cycle %d: resume node 1", cycle))
+			h.note(fmt.Sprintf("cycle %d: resume node 1", cycle))
 			waitingSince = cl.Env.Now()
 			giveUp := cl.Env.Now() + 10*sim.Second
 			for waitingSince > 0 && cl.Env.Now() < giveUp {
 				p.Sleep(200 * sim.Microsecond)
 			}
 			if waitingSince > 0 {
-				// Service never came back this cycle: leave the mark so
-				// Recovered undercounts and the row is visibly broken.
+				// Service never came back this cycle: stop the loop;
+				// Recovered undercounts and fails the row's data gate.
 				waitingSince = 0
-				dataOK = false
 				return
 			}
 		}
 	})
-	var endedAt sim.Time
-	if cl.Obs != nil {
-		// Same live-drain + quiesce pattern as RunFanin: RunUntil would
-		// march sampler daemons to the horizon and trip the leak gates.
-		endedAt = cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		endedAt = cl.Env.RunUntil(120 * sim.Second)
-	}
+	endedAt := h.drain(120 * sim.Second)
 
 	st := cl.Nodes[0].EP.Stats
 	st1 := cl.Nodes[1].EP.Stats
@@ -170,12 +144,6 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 		StaleEpochDrops: st.StaleEpochDrops + st1.StaleEpochDrops,
 		Recovered:       len(recoveries),
 		EndedAt:         endedAt,
-		DataOK:          dataOK && transfers > 0,
-		PendingLive:     cl.Env.PendingLive(),
-		PendingEvents:   cl.Env.PendingEvents(),
-		ActiveConns:     cl.Nodes[0].EP.ActiveConns() + cl.Nodes[1].EP.ActiveConns(),
-		Obs:             cl.Obs,
-		Recorders:       cl.Recorders,
 	}
 	if len(recoveries) > 0 {
 		s := append([]sim.Time(nil), recoveries...)
@@ -183,32 +151,17 @@ func RunCrashloop(o CrashloopOptions) CrashloopResult {
 		r.RecoverP50 = s[len(s)/2]
 		r.RecoverMax = s[len(s)-1]
 	}
-	if !r.DataOK || !r.LeakFree() || r.Recovered != o.Cycles {
-		cause := fmt.Sprintf("crashloop gate failure: dataOK=%v recovered=%d/%d pendingLive=%d pendingEvents=%d activeConns=%d",
-			r.DataOK, r.Recovered, o.Cycles, r.PendingLive, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), faults, cl.Recorders...)
-	}
+	// Every cycle must recover, or the row fails its data gate.
+	r.gates, r.artifacts = h.verdict(dataOK && h.failed == 0 && transfers > 0 && r.Recovered == o.Cycles,
+		fmt.Sprintf(" recovered=%d/%d", r.Recovered, o.Cycles))
 	return r
 }
 
-// LeakFree reports whether the post-teardown gates all passed.
-func (r CrashloopResult) LeakFree() bool {
-	return r.PendingLive == 0 && r.PendingEvents == 0 && r.ActiveConns == 0
-}
-
 func (r CrashloopResult) String() string {
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(live=%d ev=%d conns=%d)", r.PendingLive, r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("di %7s  backoff %5s  %3d/%d cycles  %5d xfers  reconn %3d  replay %4d ops/%8d B  stale %4d  recover p50 %8.1fus max %8.1fus  data %-7s leak %s",
+	return fmt.Sprintf("di %7s  backoff %5s  %3d/%d cycles  %5d xfers  reconn %3d  replay %4d ops/%8d B  stale %4d  recover p50 %8.1fus max %8.1fus  %s",
 		r.Opts.DeadInterval, r.Opts.Backoff, r.Recovered, r.Opts.Cycles, r.Transfers,
 		r.Reconnects, r.ReplayedOps, r.ReplayedBytes, r.StaleEpochDrops,
-		r.RecoverP50.Micros(), r.RecoverMax.Micros(), data, gate)
+		r.RecoverP50.Micros(), r.RecoverMax.Micros(), r.column())
 }
 
 // RenderCrashloop sweeps detection/backoff settings under a fixed
@@ -234,13 +187,7 @@ func RenderCrashloop(cycles int, down sim.Time, size int, obsOpts cluster.ObsOpt
 			DeadInterval: c.di, Backoff: c.backoff, Seed: 42, Obs: obsOpts,
 		})
 		results = append(results, r)
-		fmt.Fprintf(&b, "  %s\n", r)
-		if !r.DataOK || !r.LeakFree() || r.Recovered != cycles {
-			ok = false
-			if r.Dump != nil {
-				b.WriteString("\n" + r.Dump.Timeline())
-			}
-		}
+		ok = printRow(&b, r, "") && ok
 	}
 	if !ok {
 		fmt.Fprintf(&b, "\nFAIL: a run corrupted data, failed to recover, or leaked post-close state\n")

@@ -9,9 +9,7 @@ import (
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Fan-in stress: many client connections converging on one server
@@ -46,27 +44,10 @@ type FaninOptions struct {
 type FaninResult struct {
 	Conns       int
 	ClientNodes int
-	Ops         int // operations completed
-	Elapsed     sim.Time
-	OpsPerSec   float64
-	GoodMB      float64 // payload goodput, MB/s
-	P50Us       float64 // closed-loop op latency percentiles
-	P95Us       float64
-	P99Us       float64
-
-	// Gates.
-	DataOK        bool // every byte of every conn verified
-	PendingEvents int  // sim events still queued after teardown (leak)
-	ActiveConns   int  // conns still tabled on the server (leak)
-
+	latency     // closed-loop op latency over the post-barrier window
+	gates
 	Net cluster.NetReport
-
-	// Observability artifacts: the registry (nil unless Obs options
-	// enabled one), the per-node flight recorders, and — when a gate
-	// failed — the cause-tagged post-mortem dump.
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
+	artifacts
 }
 
 // faninSlots is the per-connection pipeline depth: eager conns rotate
@@ -103,19 +84,13 @@ func RunFanin(opts FaninOptions) FaninResult {
 	// The default 16 MB address space times hundreds of nodes is real
 	// host memory; size it to the working set instead.
 	cfg.Core.MemBytes = conns*faninSlots*opts.Size + (1 << 20)
-	cfg.Obs = opts.Obs
-	cfg.Obs.Recorder = !opts.DisableRecorder
-	cl := cluster.New(cfg)
-	server := cl.Nodes[0].EP
-
-	var runner *chaos.Runner
-	if opts.Chaos || opts.inject != nil {
-		runner = chaos.New(cl, opts.Seed+1)
-	}
+	h := newHarness("fanin", cfg, opts.Obs, opts.DisableRecorder)
+	cl, server := h.cl, h.cl.Nodes[0].EP
 	if opts.Chaos {
 		// A loss burst on the server rail hits every connection at
 		// once; bursts on the first client rails add asymmetric repair
 		// load; a duplication window exercises the receive-side dedup.
+		runner := h.chaos()
 		runner.LossBurst(500*sim.Microsecond, 3*sim.Millisecond, 0, 0, 0.02)
 		for n := 1; n <= clientNodes && n <= 4; n++ {
 			from := sim.Time(n) * 300 * sim.Microsecond
@@ -123,17 +98,11 @@ func RunFanin(opts FaninOptions) FaninResult {
 		}
 		runner.DuplicateEveryNth(sim.Millisecond, 2*sim.Millisecond, 1, 0, 7)
 	}
-	if opts.inject != nil {
-		opts.inject(runner)
-	}
+	h.inject(opts.inject)
 
-	rec := &trace.LatencyRecorder{}
-	var startSig sim.Signal
-	var start, end sim.Time
-	startSig.OnFire(cl.Env, func() { start = cl.Env.Now() })
-	dialed, finished, opsDone, failedOps := 0, 0, 0, 0
+	h.parties = conns
+	finished, opsDone := 0, 0
 	verified := true
-	var firstErr error
 
 	for j := 0; j < conns; j++ {
 		j := j
@@ -152,20 +121,12 @@ func RunFanin(opts FaninOptions) FaninResult {
 				faninFill(ep.Mem()[local:local+uint64(faninSlots*opts.Size)], seed)
 			}
 			// Barrier: measure steady state, not the dial storm.
-			if dialed++; dialed == conns {
-				startSig.Fire(cl.Env)
-			}
-			p.Wait(&startSig)
+			h.arrive(p)
 
 			// A failed operation (issue error, handle or completion error)
 			// stops the conn's workload and fails the DataOK gate: only
 			// successful operations count as done.
-			fail := func(n int, err error) {
-				failedOps += n
-				if firstErr == nil {
-					firstErr = fmt.Errorf("conn %d: %w", j, err)
-				}
-			}
+			fail := func(n int, err error) { h.fail(n, fmt.Errorf("conn %d: %w", j, err)) }
 			switch mode {
 			case 0, 1: // eager remote writes / eager remote reads
 				op := core.Op{Size: opts.Size, Kind: frame.OpWrite, Flags: frame.Solicit}
@@ -176,16 +137,11 @@ func RunFanin(opts FaninOptions) FaninResult {
 					off := uint64(k % faninSlots * opts.Size)
 					op.Remote, op.Local = remote+off, local+off
 					t0 := cl.Env.Now()
-					h, err := c.Do(p, op)
-					if err == nil {
-						h.Wait(p)
-						err = h.Err()
-					}
-					if err != nil {
+					if err := doWait(p, c, op); err != nil {
 						fail(1, err)
 						break
 					}
-					rec.Record(cl.Env.Now() - t0)
+					h.rec.Record(cl.Env.Now() - t0)
 					opsDone++
 				}
 			default: // submission-queue write batches
@@ -195,32 +151,11 @@ func RunFanin(opts FaninOptions) FaninResult {
 						n = opts.OpsPerConn - done
 					}
 					t0 := cl.Env.Now()
-					var err error
-					for i := 0; i < n && err == nil; i++ {
-						off := uint64(i * opts.Size)
-						err = c.Post(core.Op{Remote: remote + off, Local: local + off,
-							Size: opts.Size, Kind: frame.OpWrite, Flags: tailSolicit(i, n)})
-					}
-					if err == nil {
-						_, err = c.Ring(p)
-					}
-					if err != nil {
-						fail(n, err)
-						break
-					}
-					bad := 0
-					for i := 0; i < n; i++ {
-						if comp := c.WaitCQ(p); comp.Err != nil {
-							if bad++; bad == 1 {
-								err = comp.Err
-							}
-						}
-					}
-					if bad > 0 {
+					if bad, err := postBatch(p, c, remote, local, opts.Size, n); bad > 0 {
 						fail(bad, err)
 						break
 					}
-					rec.Record(cl.Env.Now() - t0)
+					h.rec.Record(cl.Env.Now() - t0)
 					opsDone += n
 					done += n
 				}
@@ -236,75 +171,23 @@ func RunFanin(opts FaninOptions) FaninResult {
 				verified = false
 			}
 			if finished++; finished == conns {
-				end = cl.Env.Now()
+				h.end = cl.Env.Now()
 			}
 			c.Close(p)
 		})
 	}
-	if cl.Obs != nil {
-		// The registry's samplers tick on daemon events; RunUntil would
-		// march them all the way to the horizon after the workload
-		// drained, and a still-armed tick would trip the PendingEvents
-		// leak gate. Run to live-drain (identical end state — with obs
-		// off nothing is pending after teardown either), then quiesce.
-		cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		cl.Env.RunUntil(600 * sim.Second)
-	}
+	h.drain(600 * sim.Second)
 
-	r := FaninResult{
-		Conns:       conns,
-		ClientNodes: clientNodes,
-		Ops:         opsDone,
-		DataOK: verified && failedOps == 0 && finished == conns &&
-			opsDone == totalFaninOps(conns, opts.OpsPerConn),
-		Net: cl.Collect(),
-	}
-	if end > start && start > 0 {
-		r.Elapsed = end - start
-		r.OpsPerSec = float64(opsDone) / r.Elapsed.Seconds()
-		r.GoodMB = float64(opsDone*opts.Size) / 1e6 / r.Elapsed.Seconds()
-	}
-	r.P50Us = rec.Percentile(50).Micros()
-	r.P95Us = rec.Percentile(95).Micros()
-	r.P99Us = rec.Percentile(99).Micros()
-	// Leak gates: after every conn closed, nothing may remain queued
-	// and no endpoint may still table a connection.
-	r.PendingEvents = cl.Env.PendingEvents()
-	r.ActiveConns = server.ActiveConns()
-	for _, n := range cl.Nodes[1:] {
-		r.ActiveConns += n.EP.ActiveConns()
-	}
-	r.Obs = cl.Obs
-	r.Recorders = cl.Recorders
-	if !r.DataOK || !r.LeakFree() {
-		cause := fmt.Sprintf("fanin gate failure: dataOK=%v failedOps=%d pendingEvents=%d activeConns=%d",
-			r.DataOK, failedOps, r.PendingEvents, r.ActiveConns)
-		if firstErr != nil {
-			cause += fmt.Sprintf(" firstErr=%q", firstErr.Error())
-		}
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), runner.Notes(), cl.Recorders...)
-	}
+	r := FaninResult{Conns: conns, ClientNodes: clientNodes,
+		latency: h.summary(opsDone, opts.Size), Net: cl.Collect()}
+	r.gates, r.artifacts = h.verdict(verified && h.failed == 0 && finished == conns &&
+		opsDone == conns*opts.OpsPerConn, "")
 	return r
 }
 
-func totalFaninOps(conns, opsPerConn int) int { return conns * opsPerConn }
-
-// LeakFree reports whether the post-teardown gates all passed.
-func (r FaninResult) LeakFree() bool { return r.PendingEvents == 0 && r.ActiveConns == 0 }
-
 func (r FaninResult) String() string {
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(ev=%d conns=%d)", r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("%5d conns/%2d nodes  %7d ops  %9.3fms  %9.0f ops/s  %7.1f MB/s  p50 %7.1fus  p99 %8.1fus  data %-7s leak %s",
-		r.Conns, r.ClientNodes, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec, r.GoodMB, r.P50Us, r.P99Us, data, gate)
+	return fmt.Sprintf("%5d conns/%2d nodes  %7d ops  %9.3fms  %9.0f ops/s  %7.1f MB/s  p50 %7.1fus  p99 %8.1fus  %s",
+		r.Conns, r.ClientNodes, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec, r.GoodMB, r.P50Us, r.P99Us, r.column())
 }
 
 // RenderFanin sweeps the connection counts, printing one row per run
@@ -332,13 +215,7 @@ func RenderFanin(connCounts []int, opsPerConn, size int, withChaos bool, obsOpts
 		} else if base > 0 {
 			scale = fmt.Sprintf("  %5.2fx", r.OpsPerSec/base)
 		}
-		fmt.Fprintf(&b, "  %s%s\n", r, scale)
-		if !r.DataOK || !r.LeakFree() {
-			ok = false
-			if r.Dump != nil {
-				b.WriteString("\n" + r.Dump.Timeline())
-			}
-		}
+		ok = printRow(&b, r, scale) && ok
 	}
 	if !ok {
 		fmt.Fprintf(&b, "\nFAIL: a run corrupted data or leaked post-close state\n")

@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"multiedge/internal/chaos"
+	"multiedge/internal/cluster"
+	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 )
 
@@ -75,26 +77,63 @@ func TestFaninScaling(t *testing.T) {
 	}
 }
 
-// TestFaninReportsFailedOps: when the server dies mid-run, in-flight
-// operations complete with ErrPeerDead and later issues fail on the dead
-// conns. Every such failure must fail the DataOK gate with a post-mortem
-// naming it — never count as a completed op, never panic the harness.
-func TestFaninReportsFailedOps(t *testing.T) {
-	r := RunFanin(FaninOptions{Conns: 6, OpsPerConn: 16, Size: 256, Seed: 3,
-		inject: func(cr *chaos.Runner) { cr.KillNode(300*sim.Microsecond, 0) }})
-	t.Logf("%s", r)
-	if r.DataOK {
-		t.Fatalf("fan-in with a dead server reported DataOK: %s", r)
+// TestReportsFailedOps: when operations fail — the server dies mid-run,
+// or the endpoint refuses every issue — each failure must fail the
+// run's verdict: never count as a completed op, never panic the
+// harness. Runs with flight recorders must also attach a post-mortem
+// naming the failure and keeping the injected fault timeline.
+func TestReportsFailedOps(t *testing.T) {
+	killServer := func(at sim.Time) func(*chaos.Runner) {
+		return func(cr *chaos.Runner) { cr.KillNode(at, 0) }
 	}
-	if r.Ops >= 6*16 {
-		t.Fatalf("failed ops counted as done: %d of %d", r.Ops, 6*16)
+	type verdict struct {
+		row             string
+		passed          bool
+		done, attempted int
+		dump            *obs.PostMortem
 	}
-	if r.Dump == nil || !strings.Contains(r.Dump.Cause, "failedOps=") ||
-		!strings.Contains(r.Dump.Cause, "peer dead") {
-		t.Fatalf("no post-mortem naming the failed ops: %+v", r.Dump)
+	for _, tc := range []struct {
+		name     string
+		wantDump bool
+		run      func() verdict
+	}{
+		{"fanin", true, func() verdict {
+			r := RunFanin(FaninOptions{Conns: 6, OpsPerConn: 16, Size: 256, Seed: 3,
+				inject: killServer(300 * sim.Microsecond)})
+			return verdict{r.String(), r.passed(), r.Ops, 6 * 16, r.Dump}
+		}},
+		{"noisy", true, func() verdict {
+			r := RunNoisy(NoisyOptions{VictimOps: 200, QoS: true, Flood: true, Seed: 3,
+				inject: killServer(2 * sim.Millisecond)})
+			return verdict{r.String(), r.passed(), r.Ops, 200, r.Dump}
+		}},
+		{"smallops", false, func() verdict {
+			cfg := cluster.OneLink10G(2)
+			cfg.Core.EnforceRegistration = true // nothing registered: every issue fails
+			r := RunSmallOps(cfg, 64, 256, 64)
+			return verdict{r.String(), r.passed(), r.Count - r.Failed, r.Count, nil}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			v := tc.run()
+			t.Log(v.row)
+			if v.passed {
+				t.Fatalf("run with failed ops passed its verdict: %s", v.row)
+			}
+			if v.done >= v.attempted {
+				t.Fatalf("failed ops counted as done: %d of %d", v.done, v.attempted)
+			}
+			if !tc.wantDump {
+				return
+			}
+			if v.dump == nil || !strings.Contains(v.dump.Cause, "failedOps=") ||
+				!strings.Contains(v.dump.Cause, "peer dead") {
+				t.Fatalf("no post-mortem naming the failed ops: %+v", v.dump)
+			}
+			if len(v.dump.Faults) == 0 {
+				t.Fatal("post-mortem lost the injected fault timeline")
+			}
+			t.Log(v.dump.Cause)
+		})
 	}
-	if len(r.Dump.Faults) == 0 {
-		t.Fatal("post-mortem lost the injected fault timeline")
-	}
-	t.Log(r.Dump.Cause)
 }

@@ -9,9 +9,7 @@ import (
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Incast stress: many synchronized senders converging on one receiver
@@ -61,22 +59,14 @@ type IncastOptions struct {
 
 // IncastResult is one incast measurement plus its correctness gates.
 type IncastResult struct {
-	Senders int
-	CC      bool
-	Ops     int // operations completed across all senders
-	Failed  int // operations that completed with an error
-	Elapsed sim.Time
-
-	OpsPerSec   float64
-	GoodMB      float64 // payload goodput, MB/s
+	Senders     int
+	CC          bool
+	latency             // closed-loop op latency over the synchronized window
+	Failed      int     // operations that completed with an error
 	Utilization float64 // goodput / bottleneck payload capacity
 	Jain        float64 // Jain fairness index over per-sender op counts
 	MinOps      int     // slowest sender's completed ops
 	MaxOps      int     // fastest sender's completed ops
-
-	P50Us float64 // closed-loop op latency percentiles
-	P95Us float64
-	P99Us float64
 
 	PeerDeaths  uint64 // connections declared dead (must be 0 under CC)
 	EcnMarks    uint64 // frames marked by switch queues
@@ -84,16 +74,16 @@ type IncastResult struct {
 	SwitchDrops uint64 // drop-tail losses at the bottleneck
 	Retrans     uint64 // data frames transmitted again
 
-	// Gates.
-	DataOK        bool
-	PendingEvents int
-	ActiveConns   int
-
+	gates
 	Net cluster.NetReport
+	artifacts
+}
 
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
+// pendingOp is one pipelined operation awaiting completion, with its
+// issue time.
+type pendingOp struct {
+	h  *core.Handle
+	t0 sim.Time
 }
 
 // payloadWireBytes returns the wire bytes one operation's payload
@@ -162,17 +152,12 @@ func RunIncast(opts IncastOptions) IncastResult {
 		cfg.Core.CongestionControl = core.CCConfig{Enable: true, InitWindow: 4}
 		cfg.EcnThreshold = incastEcnThresh
 	}
-	cfg.Obs = opts.Obs
-	cfg.Obs.Recorder = !opts.DisableRecorder
-	cl := cluster.New(cfg)
-	server := cl.Nodes[0].EP
+	h := newHarness("incast", cfg, opts.Obs, opts.DisableRecorder)
+	cl, server := h.cl, h.cl.Nodes[0].EP
 
-	rec := &trace.LatencyRecorder{}
-	var startSig sim.Signal
-	var start, end sim.Time
-	startSig.OnFire(cl.Env, func() { start = cl.Env.Now() })
+	h.parties = senders
 	perSender := make([]int, senders)
-	dialed, finished, failedOps := 0, 0, 0
+	finished := 0
 	verified := true
 
 	for j := 0; j < senders; j++ {
@@ -185,30 +170,23 @@ func RunIncast(opts IncastOptions) IncastResult {
 			faninFill(ep.Mem()[local:local+uint64(incastSlots*size)], byte(41+j))
 			// Barrier: every sender opens fire at the same instant — the
 			// synchronized burst IS the incast scenario.
-			if dialed++; dialed == senders {
-				startSig.Fire(cl.Env)
-			}
-			p.Wait(&startSig)
+			h.arrive(p)
 			tEnd := cl.Env.Now() + dur
 
-			type pend struct {
-				h  *core.Handle
-				t0 sim.Time
-			}
-			var q []pend
+			var q []pendingOp
 			k, alive := 0, true
 			for alive && cl.Env.Now() < tEnd {
 				for alive && len(q) < incastSlots && cl.Env.Now() < tEnd {
 					off := uint64(k%incastSlots) * uint64(size)
 					t0 := cl.Env.Now()
-					h, err := c.Do(p, core.Op{Remote: remote + off, Local: local + off,
+					oh, err := c.Do(p, core.Op{Remote: remote + off, Local: local + off,
 						Size: size, Kind: frame.OpWrite, Flags: frame.Solicit})
 					if err != nil {
-						failedOps++
+						h.fail(1, err)
 						alive = false
 						break
 					}
-					q = append(q, pend{h, t0})
+					q = append(q, pendingOp{oh, t0})
 					k++
 				}
 				if len(q) == 0 {
@@ -218,21 +196,21 @@ func RunIncast(opts IncastOptions) IncastResult {
 				q = q[1:]
 				pe.h.Wait(p)
 				if err := pe.h.Err(); err != nil {
-					failedOps++
+					h.fail(1, err)
 					if errors.Is(err, core.ErrPeerDead) {
 						alive = false
 					}
 				} else {
-					rec.Record(cl.Env.Now() - pe.t0)
+					h.rec.Record(cl.Env.Now() - pe.t0)
 					perSender[j]++
 				}
 			}
 			for _, pe := range q {
 				pe.h.Wait(p)
-				if pe.h.Err() != nil {
-					failedOps++
+				if err := pe.h.Err(); err != nil {
+					h.fail(1, err)
 				} else {
-					rec.Record(cl.Env.Now() - pe.t0)
+					h.rec.Record(cl.Env.Now() - pe.t0)
 					perSender[j]++
 				}
 			}
@@ -250,17 +228,12 @@ func RunIncast(opts IncastOptions) IncastResult {
 				}
 			}
 			if finished++; finished == senders {
-				end = cl.Env.Now()
+				h.end = cl.Env.Now()
 			}
 			c.Close(p)
 		})
 	}
-	if cl.Obs != nil {
-		cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		cl.Env.RunUntil(600 * sim.Second)
-	}
+	h.drain(600 * sim.Second)
 
 	ops := 0
 	minOps, maxOps := -1, 0
@@ -276,66 +249,37 @@ func RunIncast(opts IncastOptions) IncastResult {
 	r := IncastResult{
 		Senders: senders,
 		CC:      opts.CC,
-		Ops:     ops,
-		Failed:  failedOps,
+		latency: h.summary(ops, size),
+		Failed:  h.failed,
 		MinOps:  minOps,
 		MaxOps:  maxOps,
 		Jain:    jainIndex(perSender),
-		DataOK:  verified && finished == senders,
 		Net:     cl.Collect(),
 	}
-	if end > start && start > 0 {
-		r.Elapsed = end - start
-		r.OpsPerSec = float64(ops) / r.Elapsed.Seconds()
-		r.GoodMB = float64(ops) * float64(size) / 1e6 / r.Elapsed.Seconds()
+	if r.Elapsed > 0 {
 		// The bottleneck is the receiver's single downlink; its payload
 		// capacity is the line rate discounted by framing overhead.
 		capMB := cfg.Link.BytesPerSec() * float64(size) / float64(payloadWireBytes(size)) / 1e6
 		r.Utilization = r.GoodMB / capMB
 	}
-	r.P50Us = rec.Percentile(50).Micros()
-	r.P95Us = rec.Percentile(95).Micros()
-	r.P99Us = rec.Percentile(99).Micros()
 	r.PeerDeaths = r.Net.Proto.PeerDeadEvents
 	r.EcnMarks = r.Net.EcnMarks
 	r.CwndCuts = r.Net.Proto.CcCwndCuts
 	r.SwitchDrops = r.Net.SwitchDrops
 	r.Retrans = r.Net.Proto.Retransmissions
-	r.PendingEvents = cl.Env.PendingEvents()
-	r.ActiveConns = server.ActiveConns()
-	for _, n := range cl.Nodes[1:] {
-		r.ActiveConns += n.EP.ActiveConns()
-	}
-	r.Obs = cl.Obs
-	r.Recorders = cl.Recorders
-	if !r.DataOK || !r.LeakFree() {
-		cause := fmt.Sprintf("incast gate failure: dataOK=%v pendingEvents=%d activeConns=%d",
-			r.DataOK, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), nil, cl.Recorders...)
-	}
+	r.gates, r.artifacts = h.verdict(verified && finished == senders, "")
 	return r
 }
-
-// LeakFree reports whether the post-teardown gates all passed.
-func (r IncastResult) LeakFree() bool { return r.PendingEvents == 0 && r.ActiveConns == 0 }
 
 func (r IncastResult) String() string {
 	mode := "cc-off"
 	if r.CC {
 		mode = "cc-on "
 	}
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(ev=%d conns=%d)", r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("%s %3d senders %6d ops (%d..%d)  %8.3fms  %6.1f MB/s  util %4.2f  jain %4.2f  p50 %7.1fus  p99 %9.1fus  ecn %5d  cuts %4d  drops %5d  retx %4d  deaths %d  data %-7s leak %s",
+	return fmt.Sprintf("%s %3d senders %6d ops (%d..%d)  %8.3fms  %6.1f MB/s  util %4.2f  jain %4.2f  p50 %7.1fus  p99 %9.1fus  ecn %5d  cuts %4d  drops %5d  retx %4d  deaths %d  %s",
 		mode, r.Senders, r.Ops, r.MinOps, r.MaxOps, r.Elapsed.Micros()/1e3, r.GoodMB,
 		r.Utilization, r.Jain, r.P50Us, r.P99Us, r.EcnMarks, r.CwndCuts, r.SwitchDrops,
-		r.Retrans, r.PeerDeaths, data, gate)
+		r.Retrans, r.PeerDeaths, r.column())
 }
 
 // ParkingLotOptions parameterizes one parking-lot run.
@@ -351,13 +295,7 @@ type ParkingLotOptions struct {
 // background flows congest rail 0 only.
 type ParkingLotResult struct {
 	Adaptive bool
-	Ops      int
-	Elapsed  sim.Time
-
-	OpsPerSec float64
-	GoodMB    float64
-	P50Us     float64
-	P99Us     float64
+	latency  // the victim's closed-loop op latency
 
 	// Victim data split across the two rails during the measured
 	// window: round-robin sits at ~0.5, congestion-weighted striping
@@ -368,12 +306,9 @@ type ParkingLotResult struct {
 
 	BgOps int // background ops completed while the victim ran
 
-	// Gates.
-	DataOK        bool
-	PendingEvents int
-	ActiveConns   int
-
+	gates
 	Net cluster.NetReport
+	artifacts
 }
 
 // RunParkingLot congests rail 0 of a two-rail fabric with two pinned
@@ -414,15 +349,13 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 		// AIMD out of the way.
 		cfg.Core.CongestionControl = core.CCConfig{Enable: true, InitWindow: 64}
 	}
-	cl := cluster.New(cfg)
-	receiver := cl.Nodes[1].EP
+	h := newHarness("parkinglot", cfg, cluster.ObsOptions{}, false)
+	cl, receiver := h.cl, h.cl.Nodes[1].EP
 
 	// Two background conns at depth 2 hold ~48 frames standing in rail
 	// 0's switch queue — well under the 160-frame drop point.
 	const bgSlots = 2
-	rec := &trace.LatencyRecorder{}
-	var bgSig, startSig sim.Signal
-	var start, end sim.Time
+	var bgSig sim.Signal
 	bgUp, bgOps := 0, 0
 	victimDone := false
 	verified := true
@@ -442,12 +375,13 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 			k := 0
 			issue := func() bool {
 				off := uint64(k%bgSlots) * uint64(bgSize)
-				h, err := c.Do(p, core.Op{Remote: remote + off, Local: local + off,
+				bh, err := c.Do(p, core.Op{Remote: remote + off, Local: local + off,
 					Size: bgSize, Kind: frame.OpWrite, Flags: frame.Solicit})
 				if err != nil {
+					h.fail(1, fmt.Errorf("background %d: %w", node, err))
 					return false
 				}
-				q = append(q, h)
+				q = append(q, bh)
 				k++
 				return true
 			}
@@ -461,29 +395,30 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 			if bgUp++; bgUp == 2 {
 				bgSig.Fire(cl.Env)
 			}
-			for !victimDone && len(q) > 0 {
-				h := q[0]
-				q = q[1:]
-				h.Wait(p)
-				if h.Err() == nil {
+			retire := func(bh *core.Handle) {
+				bh.Wait(p)
+				if err := bh.Err(); err != nil {
+					h.fail(1, fmt.Errorf("background %d: %w", node, err))
+				} else {
 					bgOps++
 				}
+			}
+			for !victimDone && len(q) > 0 {
+				bh := q[0]
+				q = q[1:]
+				retire(bh)
 				if !victimDone {
 					issue()
 				}
 			}
-			for _, h := range q {
-				h.Wait(p)
-				if h.Err() == nil {
-					bgOps++
-				}
+			for _, bh := range q {
+				retire(bh)
 			}
 			c.Close(p)
 		})
 	}
 
 	// Victim: node 0 stripes across both rails to the same receiver.
-	startSig.OnFire(cl.Env, func() { start = cl.Env.Now() })
 	cl.Env.Go("victim", func(p *sim.Proc) {
 		c := ep0Dial(cl, p)
 		remote := receiver.Alloc(incastSlots * size)
@@ -494,27 +429,21 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 		p.Sleep(2 * sim.Millisecond)
 		tx0 := cl.Nodes[0].NICs[0].TxFrames
 		tx1 := cl.Nodes[0].NICs[1].TxFrames
-		startSig.Fire(cl.Env)
+		h.start = cl.Env.Now()
 
-		var q []struct {
-			h  *core.Handle
-			t0 sim.Time
-		}
+		var q []pendingOp
 		for k := 0; k < ops || len(q) > 0; {
 			for k < ops && len(q) < incastSlots {
 				off := uint64(k%incastSlots) * uint64(size)
 				t0 := cl.Env.Now()
-				h, err := c.Do(p, core.Op{Remote: remote + off, Local: local + off,
+				vh, err := c.Do(p, core.Op{Remote: remote + off, Local: local + off,
 					Size: size, Kind: frame.OpWrite, Flags: frame.Solicit})
 				if err != nil {
-					verified = false
+					h.fail(1, fmt.Errorf("victim: %w", err))
 					k = ops
 					break
 				}
-				q = append(q, struct {
-					h  *core.Handle
-					t0 sim.Time
-				}{h, t0})
+				q = append(q, pendingOp{vh, t0})
 				k++
 			}
 			if len(q) == 0 {
@@ -523,13 +452,13 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 			pe := q[0]
 			q = q[1:]
 			pe.h.Wait(p)
-			if pe.h.Err() != nil {
-				verified = false
+			if err := pe.h.Err(); err != nil {
+				h.fail(1, fmt.Errorf("victim: %w", err))
 			} else {
-				rec.Record(cl.Env.Now() - pe.t0)
+				h.rec.Record(cl.Env.Now() - pe.t0)
 			}
 		}
-		end = cl.Env.Now()
+		h.end = cl.Env.Now()
 		rail0 = cl.Nodes[0].NICs[0].TxFrames - tx0
 		rail1 = cl.Nodes[0].NICs[1].TxFrames - tx1
 		victimDone = true
@@ -543,30 +472,20 @@ func RunParkingLot(opts ParkingLotOptions) ParkingLotResult {
 		}
 		c.Close(p)
 	})
-	cl.Env.RunUntil(600 * sim.Second)
+	h.drain(600 * sim.Second)
 
 	r := ParkingLotResult{
-		Adaptive: opts.Adaptive,
-		Ops:      ops,
-		BgOps:    bgOps,
-		DataOK:   verified,
-		Net:      cl.Collect(),
+		Adaptive:    opts.Adaptive,
+		latency:     h.summary(h.rec.Count(), size),
+		Rail0Frames: rail0,
+		Rail1Frames: rail1,
+		BgOps:       bgOps,
+		Net:         cl.Collect(),
 	}
-	if end > start && start > 0 {
-		r.Elapsed = end - start
-		r.OpsPerSec = float64(ops) / r.Elapsed.Seconds()
-		r.GoodMB = float64(ops) * float64(size) / 1e6 / r.Elapsed.Seconds()
-	}
-	r.P50Us = rec.Percentile(50).Micros()
-	r.P99Us = rec.Percentile(99).Micros()
-	r.Rail0Frames, r.Rail1Frames = rail0, rail1
 	if rail0+rail1 > 0 {
 		r.Rail1Share = float64(rail1) / float64(rail0+rail1)
 	}
-	r.PendingEvents = cl.Env.PendingEvents()
-	for _, n := range cl.Nodes {
-		r.ActiveConns += n.EP.ActiveConns()
-	}
+	r.gates, r.artifacts = h.verdict(verified && h.failed == 0, "")
 	return r
 }
 
@@ -574,25 +493,14 @@ func ep0Dial(cl *cluster.Cluster, p *sim.Proc) *core.Conn {
 	return cl.Nodes[0].EP.Dial(p, 1, 0) // links=0: stripe over both rails
 }
 
-// LeakFree reports whether the post-teardown gates all passed.
-func (r ParkingLotResult) LeakFree() bool { return r.PendingEvents == 0 && r.ActiveConns == 0 }
-
 func (r ParkingLotResult) String() string {
 	mode := "round-robin"
 	if r.Adaptive {
 		mode = "adaptive   "
 	}
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(ev=%d conns=%d)", r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("%s %5d ops  %8.3fms  %8.0f ops/s  %6.1f MB/s  p50 %7.1fus  p99 %9.1fus  rail1 %4.2f  bg %5d ops  data %-7s leak %s",
+	return fmt.Sprintf("%s %5d ops  %8.3fms  %8.0f ops/s  %6.1f MB/s  p50 %7.1fus  p99 %9.1fus  rail1 %4.2f  bg %5d ops  %s",
 		mode, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec, r.GoodMB, r.P50Us, r.P99Us,
-		r.Rail1Share, r.BgOps, data, gate)
+		r.Rail1Share, r.BgOps, r.column())
 }
 
 // RenderIncast runs the incast collapse A/B (CC off, then on, identical
@@ -610,7 +518,9 @@ func RenderIncast(senders, size int, dur sim.Time, obsOpts cluster.ObsOptions) (
 	off := RunIncast(IncastOptions{Senders: senders, Size: size, Duration: dur, CC: false, Seed: 42})
 	on := RunIncast(IncastOptions{Senders: senders, Size: size, Duration: dur, CC: true, Seed: 42, Obs: obsOpts})
 	incasts = append(incasts, off, on)
-	fmt.Fprintf(&b, "  %s\n  %s\n\n", off, on)
+	rowsOK := printRow(&b, off, "")
+	rowsOK = printRow(&b, on, "") && rowsOK
+	b.WriteString("\n")
 
 	// Gates: the CC run must hold the bottleneck (utilization, fairness,
 	// no losses escalating to peer-death), and the baseline must
@@ -628,7 +538,7 @@ func RenderIncast(senders, size int, dur sim.Time, obsOpts cluster.ObsOptions) (
 		ok = false
 		fmt.Fprintf(&b, "FAIL: cc-on run had %d peer deaths, %d failed ops (want 0)\n", on.PeerDeaths, on.Failed)
 	}
-	if !on.DataOK || !on.LeakFree() || !off.DataOK || !off.LeakFree() {
+	if !rowsOK {
 		ok = false
 		fmt.Fprintf(&b, "FAIL: a phase corrupted data or leaked post-close state\n")
 	}
@@ -645,9 +555,11 @@ func RenderIncast(senders, size int, dur sim.Time, obsOpts cluster.ObsOptions) (
 	rr := RunParkingLot(ParkingLotOptions{Ops: 300, Size: size, Adaptive: false, Seed: 42})
 	ad := RunParkingLot(ParkingLotOptions{Ops: 300, Size: size, Adaptive: true, Seed: 42})
 	lots = append(lots, rr, ad)
-	fmt.Fprintf(&b, "  %s\n  %s\n\n", rr, ad)
+	rowsOK = printRow(&b, rr, "")
+	rowsOK = printRow(&b, ad, "") && rowsOK
+	b.WriteString("\n")
 
-	if !rr.DataOK || !rr.LeakFree() || !ad.DataOK || !ad.LeakFree() {
+	if !rowsOK {
 		ok = false
 		fmt.Fprintf(&b, "FAIL: a parking-lot phase corrupted data or leaked post-close state\n")
 	}

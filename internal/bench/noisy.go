@@ -9,9 +9,7 @@ import (
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Noisy-neighbor isolation: one latency-sensitive victim tenant shares
@@ -59,35 +57,29 @@ type NoisyOptions struct {
 
 	Obs             cluster.ObsOptions
 	DisableRecorder bool
+
+	// inject, when set, schedules extra faults on the run's chaos runner
+	// before the simulation starts (tests kill the server mid-run).
+	inject func(*chaos.Runner)
 }
 
-// NoisyResult is one phase measurement plus its correctness gates.
+// NoisyResult is one phase measurement plus its correctness gates. Its
+// latency summary is the victim tenant's: Ops counts victim operations
+// completed past the warmup.
 type NoisyResult struct {
-	Phase     string // "isolated", "qos-off", "qos-on"
-	QoSOn     bool
-	Flooded   bool
-	VictimOps int // victim operations completed
-	FloodOps  int // flood operations completed before the victim finished
-	Elapsed   sim.Time
-	OpsPerSec float64 // victim closed-loop rate
-	P50Us     float64 // victim op latency percentiles
-	P95Us     float64
-	P99Us     float64
+	Phase   string // "isolated", "qos-off", "qos-on"
+	QoSOn   bool
+	Flooded bool
+	latency
+	FloodOps int // flood operations completed before the victim finished
 
 	// QoS trace (zero when QoS off).
 	AdmissionWaits uint64
 	RateDeferrals  uint64
 
-	// Gates.
-	DataOK        bool
-	PendingEvents int
-	ActiveConns   int
-
+	gates
 	Net cluster.NetReport
-
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
+	artifacts
 }
 
 // RunNoisy drives one phase: a victim tenant issuing closed-loop 64 B
@@ -102,28 +94,28 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 	if opts.QoS {
 		cfg.Core.QoS = noisyClasses()
 	}
-	cfg.Obs = opts.Obs
-	cfg.Obs.Recorder = !opts.DisableRecorder
-	cl := cluster.New(cfg)
+	phase := "isolated"
+	if opts.Flood {
+		phase = "qos-off"
+		if opts.QoS {
+			phase = "qos-on"
+		}
+	}
+	h := newHarness("noisy "+phase, cfg, opts.Obs, opts.DisableRecorder)
+	cl := h.cl
 	server := cl.Nodes[0].EP
 	client := cl.Nodes[1].EP
-
-	var runner *chaos.Runner
 	if opts.Chaos {
-		runner = chaos.New(cl, opts.Seed+1)
 		// A loss burst on the server rail perturbs victim and flood alike;
 		// isolation must hold through the repair traffic.
-		runner.LossBurst(500*sim.Microsecond, 5*sim.Millisecond, 0, 0, 0.02)
+		h.chaos().LossBurst(500*sim.Microsecond, 5*sim.Millisecond, 0, 0, 0.02)
 	}
+	h.inject(opts.inject)
 
-	rec := &trace.LatencyRecorder{}
-	var startSig sim.Signal
-	var start, end sim.Time
-	parties := 1
+	h.parties = 1
 	if opts.Flood {
-		parties += noisyFloodConns
+		h.parties += noisyFloodConns
 	}
-	dialed := 0
 	victimDone := false
 	floodOps := 0
 	verified := true
@@ -135,25 +127,25 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 		c := client.Dial(p, 0, 0)
 		c.SetClass(noisyVictimClass)
 		faninFill(client.Mem()[vLocal:vLocal+uint64(noisySlots*noisyVictimSize)], 11)
-		if dialed++; dialed == parties {
-			startSig.Fire(cl.Env)
-		}
-		p.Wait(&startSig)
+		h.arrive(p)
 		// Warmup absorbs the flood's start-up transient (its token bucket
 		// opens full) so the percentiles measure steady-state isolation,
 		// matching fanin's measure-past-the-dial-storm convention.
 		for k := 0; k < noisyWarmup+opts.VictimOps; k++ {
 			off := uint64(k % noisySlots * noisyVictimSize)
 			t0 := cl.Env.Now()
-			c.MustDo(p, core.Op{Remote: vRemote + off, Local: vLocal + off,
-				Size: noisyVictimSize, Kind: frame.OpWrite, Flags: frame.Solicit}).Wait(p)
+			if err := doWait(p, c, core.Op{Remote: vRemote + off, Local: vLocal + off,
+				Size: noisyVictimSize, Kind: frame.OpWrite, Flags: frame.Solicit}); err != nil {
+				h.fail(1, fmt.Errorf("victim: %w", err))
+				break
+			}
 			if k == noisyWarmup-1 {
-				start = cl.Env.Now()
+				h.start = cl.Env.Now()
 			} else if k >= noisyWarmup {
-				rec.Record(cl.Env.Now() - t0)
+				h.rec.Record(cl.Env.Now() - t0)
 			}
 		}
-		end = cl.Env.Now()
+		h.end = cl.Env.Now()
 		victimDone = true
 		nb := uint64(noisySlots * noisyVictimSize)
 		if opts.VictimOps < noisySlots {
@@ -166,97 +158,69 @@ func RunNoisy(opts NoisyOptions) NoisyResult {
 	})
 
 	// Flood: greedy pipelined elephants from the same endpoint. Quota
-	// backpressure (QoS on) legitimately blocks them in admission.
+	// backpressure (QoS on) legitimately blocks them in admission. A
+	// failed flood op stops that flood conn.
 	if opts.Flood {
 		for j := 0; j < noisyFloodConns; j++ {
+			j := j
 			src := client.Alloc(noisyFloodWindow * noisyFloodSize)
 			dst := server.Alloc(noisyFloodWindow * noisyFloodSize)
 			cl.Env.Go(fmt.Sprintf("noisy-flood%d", j), func(p *sim.Proc) {
 				c := client.Dial(p, 0, 0)
 				c.SetClass(noisyFloodClass)
-				if dialed++; dialed == parties {
-					startSig.Fire(cl.Env)
-				}
-				p.Wait(&startSig)
+				h.arrive(p)
 				var inflight []*core.Handle
-				for k := 0; !victimDone; k++ {
+				retire := func(fh *core.Handle) bool {
+					fh.Wait(p)
+					if err := fh.Err(); err != nil {
+						h.fail(1, fmt.Errorf("flood %d: %w", j, err))
+						return false
+					}
+					floodOps++
+					return true
+				}
+				alive := true
+				for k := 0; alive && !victimDone; k++ {
 					off := uint64(k % noisyFloodWindow * noisyFloodSize)
-					inflight = append(inflight, c.MustDo(p, core.Op{Remote: dst + off,
-						Local: src + off, Size: noisyFloodSize, Kind: frame.OpWrite}))
+					fh, err := c.Do(p, core.Op{Remote: dst + off, Local: src + off,
+						Size: noisyFloodSize, Kind: frame.OpWrite})
+					if err != nil {
+						h.fail(1, fmt.Errorf("flood %d: %w", j, err))
+						break
+					}
+					inflight = append(inflight, fh)
 					if len(inflight) >= noisyFloodWindow {
-						inflight[0].Wait(p)
+						alive = retire(inflight[0])
 						inflight = inflight[1:]
-						floodOps++
 					}
 				}
-				for _, h := range inflight {
-					h.Wait(p)
-					floodOps++
+				for _, fh := range inflight {
+					retire(fh)
 				}
 				c.Close(p)
 			})
 		}
 	}
+	h.drain(600 * sim.Second)
 
-	if cl.Obs != nil {
-		cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		cl.Env.RunUntil(600 * sim.Second)
-	}
-
-	phase := "isolated"
-	if opts.Flood {
-		phase = "qos-off"
-		if opts.QoS {
-			phase = "qos-on"
-		}
-	}
 	r := NoisyResult{
-		Phase:     phase,
-		QoSOn:     opts.QoS,
-		Flooded:   opts.Flood,
-		VictimOps: rec.Count(),
-		FloodOps:  floodOps,
-		DataOK:    verified && victimDone,
-		Net:       cl.Collect(),
+		Phase:    phase,
+		QoSOn:    opts.QoS,
+		Flooded:  opts.Flood,
+		latency:  h.summary(h.rec.Count(), 0),
+		FloodOps: floodOps,
+		Net:      cl.Collect(),
 	}
-	if end > start && start > 0 {
-		r.Elapsed = end - start
-		r.OpsPerSec = float64(r.VictimOps) / r.Elapsed.Seconds()
-	}
-	r.P50Us = rec.Percentile(50).Micros()
-	r.P95Us = rec.Percentile(95).Micros()
-	r.P99Us = rec.Percentile(99).Micros()
 	r.AdmissionWaits = r.Net.Proto.QosAdmissionWaits
 	r.RateDeferrals = r.Net.Proto.QosRateDeferrals
-	r.PendingEvents = cl.Env.PendingEvents()
-	r.ActiveConns = server.ActiveConns() + client.ActiveConns()
-	r.Obs = cl.Obs
-	r.Recorders = cl.Recorders
-	if !r.DataOK || !r.LeakFree() {
-		cause := fmt.Sprintf("noisy gate failure (%s): dataOK=%v pendingEvents=%d activeConns=%d",
-			r.Phase, r.DataOK, r.PendingEvents, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), runner.Notes(), cl.Recorders...)
-	}
+	r.gates, r.artifacts = h.verdict(verified && victimDone && h.failed == 0, "")
 	return r
 }
 
-// LeakFree reports whether the post-teardown gates all passed.
-func (r NoisyResult) LeakFree() bool { return r.PendingEvents == 0 && r.ActiveConns == 0 }
-
 func (r NoisyResult) String() string {
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(ev=%d conns=%d)", r.PendingEvents, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
-	return fmt.Sprintf("%-8s  %6d victim ops  %9.3fms  %9.0f ops/s  p50 %7.1fus  p95 %7.1fus  p99 %8.1fus  flood %6d ops  waits %4d  defers %5d  data %-7s leak %s",
-		r.Phase, r.VictimOps, r.Elapsed.Micros()/1e3, r.OpsPerSec,
-		r.P50Us, r.P95Us, r.P99Us, r.FloodOps, r.AdmissionWaits, r.RateDeferrals, data, gate)
+	return fmt.Sprintf("%-8s  %6d victim ops  %9.3fms  %9.0f ops/s  p50 %7.1fus  p95 %7.1fus  p99 %8.1fus  flood %6d ops  waits %4d  defers %5d  %s",
+		r.Phase, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec,
+		r.P50Us, r.P95Us, r.P99Us, r.FloodOps, r.AdmissionWaits, r.RateDeferrals, r.column())
 }
 
 // RenderNoisy runs the three noisy-neighbor phases and gates the QoS-on
@@ -282,13 +246,7 @@ func RenderNoisy(victimOps int, withChaos bool, obsOpts cluster.ObsOptions) (out
 	for _, po := range phases {
 		r := RunNoisy(po)
 		results = append(results, r)
-		fmt.Fprintf(&b, "  %s\n", r)
-		if !r.DataOK || !r.LeakFree() {
-			ok = false
-			if r.Dump != nil {
-				b.WriteString("\n" + r.Dump.Timeline())
-			}
-		}
+		ok = printRow(&b, r, "") && ok
 	}
 	iso, off, on := results[0], results[1], results[2]
 	if iso.P99Us > 0 {

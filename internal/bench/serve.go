@@ -5,14 +5,11 @@ import (
 	"fmt"
 	"strings"
 
-	"multiedge/internal/chaos"
 	"multiedge/internal/cluster"
 	"multiedge/internal/core"
 	"multiedge/internal/frame"
-	"multiedge/internal/obs"
 	"multiedge/internal/sim"
 	"multiedge/internal/svc"
-	"multiedge/internal/trace"
 )
 
 // Service-layer stress: thousands of simulated client sessions in a
@@ -41,19 +38,15 @@ type ServeOptions struct {
 	DisableRecorder bool
 }
 
-// ServeResult is one service-bench measurement plus its gates.
+// ServeResult is one service-bench measurement plus its gates. Its
+// measured window runs from virtual time zero to the last session's
+// verify; Ops counts reads and transaction retries too.
 type ServeResult struct {
 	Clients     int
 	ClientNodes int
 	Replicas    int
 	Killed      bool
-	Ops         int // operations completed (reads included)
-	Elapsed     sim.Time
-	OpsPerSec   float64
-	GoodMB      float64
-	P50Us       float64
-	P95Us       float64
-	P99Us       float64
+	latency
 
 	// Service-layer accounting, summed over the per-node stubs.
 	Failovers    uint64
@@ -65,17 +58,10 @@ type ServeResult struct {
 	// died before the verify read. Zero unless a backend was killed.
 	VerifyRetries int
 
-	// Gates.
-	DataOK        bool // every session finished and byte-verified its slot
-	PendingLive   int  // live sim events left after teardown (leak)
-	PendingEvents int  // total sim events left after teardown
-	ActiveConns   int  // conns still tabled anywhere (leak)
-
+	// DataOK: every session finished and byte-verified its slot.
+	gates
 	Net cluster.NetReport
-
-	Obs       *obs.Registry
-	Recorders []*obs.Recorder
-	Dump      *obs.PostMortem
+	artifacts
 }
 
 // serveClientNodes caps how many endpoints the sessions spread over.
@@ -134,9 +120,8 @@ func RunServe(opts ServeOptions) ServeResult {
 	// when the budget fires, so the abandon path journals its in-flight
 	// ops instead of finding them already drained by a terminal failure.
 	cfg.Core.MemBytes = clients*opts.Size + (2 << 20)
-	cfg.Obs = opts.Obs
-	cfg.Obs.Recorder = !opts.DisableRecorder
-	cl := cluster.New(cfg)
+	h := newHarness("serve", cfg, opts.Obs, opts.DisableRecorder)
+	cl := h.cl
 
 	reg := svc.NewRegistry()
 	eps := make([]*core.Endpoint, replicas)
@@ -163,19 +148,12 @@ func RunServe(opts ServeOptions) ServeResult {
 		stubs[i] = stub
 	}
 
-	var runner *chaos.Runner
-	victim := -1
 	if opts.KillAt > 0 {
-		runner = chaos.New(cl, opts.Seed+1)
-		victim = 0 // backend index; node s.Backends[0].Node
-		runner.KillNode(opts.KillAt, s.Backends[victim].Node)
+		h.chaos().KillNode(opts.KillAt, s.Backends[0].Node)
 	}
 
-	rec := &trace.LatencyRecorder{}
-	var end sim.Time
 	finished, opsDone, verifyRetries := 0, 0, 0
 	verified := true
-	var failedCalls uint64
 
 	for i := 0; i < clients; i++ {
 		i := i
@@ -192,11 +170,10 @@ func RunServe(opts ServeOptions) ServeResult {
 				t0 := cl.Env.Now()
 				if err := stub.Call(p, token, core.Op{Remote: off, Local: src,
 					Size: opts.Size, Kind: frame.OpWrite}); err != nil {
-					failedCalls++
-					verified = false
+					h.fail(1, err)
 					break
 				}
-				rec.Record(cl.Env.Now() - t0)
+				h.rec.Record(cl.Env.Now() - t0)
 				opsDone++
 			}
 			// Byte-verify the slot through the service: the affinity
@@ -212,10 +189,10 @@ func RunServe(opts ServeOptions) ServeResult {
 				t0 := cl.Env.Now()
 				if err := stub.Call(p, token, core.Op{Remote: off, Local: back,
 					Size: opts.Size, Kind: frame.OpRead}); err != nil {
-					failedCalls++
+					h.fail(1, err)
 					break
 				}
-				rec.Record(cl.Env.Now() - t0)
+				h.rec.Record(cl.Env.Now() - t0)
 				opsDone++
 				if bytes.Equal(ep.Mem()[back:back+uint64(opts.Size)],
 					ep.Mem()[src:src+uint64(opts.Size)]) {
@@ -228,7 +205,7 @@ func RunServe(opts ServeOptions) ServeResult {
 				verifyRetries++
 				if err := stub.Call(p, token, core.Op{Remote: off, Local: src,
 					Size: opts.Size, Kind: frame.OpWrite}); err != nil {
-					failedCalls++
+					h.fail(1, err)
 					break
 				}
 				opsDone++
@@ -237,7 +214,7 @@ func RunServe(opts ServeOptions) ServeResult {
 				verified = false
 			}
 			if finished++; finished == clients {
-				end = cl.Env.Now()
+				h.end = cl.Env.Now()
 			}
 		})
 	}
@@ -249,74 +226,37 @@ func RunServe(opts ServeOptions) ServeResult {
 			stub.Close(p)
 		}
 	})
-	if cl.Obs != nil {
-		cl.Env.Run()
-		cl.Obs.Quiesce()
-	} else {
-		cl.Env.RunUntil(600 * sim.Second)
-	}
+	h.drain(600 * sim.Second)
 
 	r := ServeResult{
-		Clients:     clients,
-		ClientNodes: clientNodes,
-		Replicas:    replicas,
-		Killed:      opts.KillAt > 0,
-		Ops:         opsDone,
-		DataOK:      verified && finished == clients && failedCalls == 0,
-		Net:         cl.Collect(),
+		Clients:       clients,
+		ClientNodes:   clientNodes,
+		Replicas:      replicas,
+		Killed:        opts.KillAt > 0,
+		latency:       h.summary(opsDone, opts.Size),
+		VerifyRetries: verifyRetries,
+		Net:           cl.Collect(),
 	}
-	r.VerifyRetries = verifyRetries
 	for _, stub := range stubs {
 		r.Failovers += stub.Stats.Failovers
 		r.Condemned += stub.Stats.BackendsCondemned
 		r.JournaledOps += stub.Stats.JournaledOps
 		r.CallsFailed += stub.Stats.CallsFailed
 	}
-	if end > 0 {
-		r.Elapsed = end
-		r.OpsPerSec = float64(opsDone) / r.Elapsed.Seconds()
-		r.GoodMB = float64(opsDone*opts.Size) / 1e6 / r.Elapsed.Seconds()
-	}
-	r.P50Us = rec.Percentile(50).Micros()
-	r.P95Us = rec.Percentile(95).Micros()
-	r.P99Us = rec.Percentile(99).Micros()
-	// Leak gates: every stub closed its conns; nothing live may remain
-	// queued and no endpoint — the dead backend included, whose parked
-	// conns fail terminally once their redial budgets drain — may still
-	// table a connection.
-	r.PendingLive = cl.Env.PendingLive()
-	r.PendingEvents = cl.Env.PendingEvents()
-	for _, n := range cl.Nodes {
-		r.ActiveConns += n.EP.ActiveConns()
-	}
-	r.Obs = cl.Obs
-	r.Recorders = cl.Recorders
-	if !r.DataOK || !r.LeakFree() {
-		cause := fmt.Sprintf("serve gate failure: dataOK=%v failedCalls=%d pendingLive=%d activeConns=%d",
-			r.DataOK, failedCalls, r.PendingLive, r.ActiveConns)
-		r.Dump = obs.BuildPostMortem(cause, cl.Env.Now(), runner.Notes(), cl.Recorders...)
-	}
+	// Leak gates: every stub closed its conns, so no endpoint — the dead
+	// backend included, whose parked conns fail terminally once their
+	// redial budgets drain — may still table a connection.
+	r.gates, r.artifacts = h.verdict(verified && finished == clients && h.failed == 0, "")
 	return r
 }
 
-// LeakFree reports whether the post-teardown gates all passed.
-func (r ServeResult) LeakFree() bool { return r.PendingLive == 0 && r.ActiveConns == 0 }
-
 func (r ServeResult) String() string {
-	gate := "ok"
-	if !r.LeakFree() {
-		gate = fmt.Sprintf("LEAK(live=%d conns=%d)", r.PendingLive, r.ActiveConns)
-	}
-	data := "ok"
-	if !r.DataOK {
-		data = "CORRUPT"
-	}
 	kill := "    -"
 	if r.Killed {
 		kill = fmt.Sprintf("n%d X", r.Replicas-r.Replicas) // backend 0's node
 	}
-	return fmt.Sprintf("%5d clients/%2d nodes/%dR %s  %7d ops  %9.3fms  %9.0f ops/s  p50 %7.1fus  p99 %9.1fus  fo %3d  data %-7s leak %s",
-		r.Clients, r.ClientNodes, r.Replicas, kill, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec, r.P50Us, r.P99Us, r.Failovers, data, gate)
+	return fmt.Sprintf("%5d clients/%2d nodes/%dR %s  %7d ops  %9.3fms  %9.0f ops/s  p50 %7.1fus  p99 %9.1fus  fo %3d  %s",
+		r.Clients, r.ClientNodes, r.Replicas, kill, r.Ops, r.Elapsed.Micros()/1e3, r.OpsPerSec, r.P50Us, r.P99Us, r.Failovers, r.column())
 }
 
 // serveKillP99Bound bounds the chaos-kill run's p99: a call in flight
@@ -342,10 +282,7 @@ func RenderServe(clients, opsPerClient, size, replicas int, obsOpts cluster.ObsO
 	base := RunServe(ServeOptions{Clients: clients, OpsPerClient: opsPerClient, Size: size,
 		Replicas: replicas, Seed: 42, Obs: obsOpts})
 	results = append(results, base)
-	fmt.Fprintf(&b, "  %s\n", base)
-	if !base.DataOK || !base.LeakFree() {
-		ok = false
-	}
+	ok = printRow(&b, base, "") && ok
 	killAt := base.Elapsed / 2
 	if killAt <= 0 {
 		killAt = sim.Millisecond
@@ -353,10 +290,7 @@ func RenderServe(clients, opsPerClient, size, replicas int, obsOpts cluster.ObsO
 	killed := RunServe(ServeOptions{Clients: clients, OpsPerClient: opsPerClient, Size: size,
 		Replicas: replicas, KillAt: killAt, Seed: 42, Obs: obsOpts})
 	results = append(results, killed)
-	fmt.Fprintf(&b, "  %s\n", killed)
-	if !killed.DataOK || !killed.LeakFree() {
-		ok = false
-	}
+	ok = printRow(&b, killed, "") && ok
 	if base.VerifyRetries != 0 {
 		fmt.Fprintf(&b, "\nFAIL: undisturbed run needed %d verify retries — sessions lost data without a kill\n",
 			base.VerifyRetries)
@@ -372,11 +306,6 @@ func RenderServe(clients, opsPerClient, size, replicas int, obsOpts cluster.ObsO
 			killed.P99Us, serveKillP99Bound(base.P99Us), base.P99Us)
 		ok = false
 	}
-	for _, r := range results {
-		if r.Dump != nil {
-			b.WriteString("\n" + r.Dump.Timeline())
-		}
-	}
 	if !ok {
 		fmt.Fprintf(&b, "\nFAIL: a serve run corrupted data, leaked state, or blew the failover bounds\n")
 	}
@@ -389,29 +318,12 @@ func (r ServeResult) BenchRow() BenchRow {
 	if r.Killed {
 		name += "-kill"
 	}
-	row := BenchRow{
-		Name:       name,
-		Ops:        r.Ops,
-		OpsPerSec:  r.OpsPerSec,
-		GoodputMBs: r.GoodMB,
-		P50Us:      r.P50Us,
-		P95Us:      r.P95Us,
-		P99Us:      r.P99Us,
-		Extra: map[string]float64{
-			"replicas":       float64(r.Replicas),
-			"client_nodes":   float64(r.ClientNodes),
-			"failovers":      float64(r.Failovers),
-			"condemned":      float64(r.Condemned),
-			"journaled_ops":  float64(r.JournaledOps),
-			"verify_retries": float64(r.VerifyRetries),
-			"pending_live":   float64(r.PendingLive),
-			"active_conns":   float64(r.ActiveConns),
-		},
-	}
-	if r.DataOK {
-		row.Extra["data_ok"] = 1
-	} else {
-		row.Extra["data_ok"] = 0
-	}
-	return row
+	return benchRow(name, r.latency, r.gates, map[string]float64{
+		"replicas":       float64(r.Replicas),
+		"client_nodes":   float64(r.ClientNodes),
+		"failovers":      float64(r.Failovers),
+		"condemned":      float64(r.Condemned),
+		"journaled_ops":  float64(r.JournaledOps),
+		"verify_retries": float64(r.VerifyRetries),
+	})
 }

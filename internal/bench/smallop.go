@@ -1,6 +1,7 @@
 package bench
 
 import (
+	"bytes"
 	"fmt"
 	"strings"
 
@@ -20,11 +21,15 @@ import (
 // SmallOpResult is one small-op throughput measurement.
 type SmallOpResult struct {
 	Config string
-	Size   int // bytes per operation
-	Count  int // operations measured
-	Batch  int // ops per doorbell; 0 = eager per-op issue
-	MOpsS  float64
+	Size   int     // bytes per operation
+	Count  int     // operations measured
+	Batch  int     // ops per doorbell; 0 = eager per-op issue
+	MOpsS  float64 // completed operations only
 	GoodMB float64 // payload goodput, MB/s
+	// Verdict: operations that failed to issue or complete, and whether
+	// the destination lanes byte-match the source after the run.
+	Failed int
+	DataOK bool
 	// Protocol evidence.
 	Doorbells       uint64
 	CoalescedFrames uint64
@@ -36,9 +41,15 @@ func (r SmallOpResult) String() string {
 	if r.Batch > 0 {
 		mode = fmt.Sprintf("sq/batch=%d", r.Batch)
 	}
-	return fmt.Sprintf("%-7s %-12s %4dB x%-6d  %6.3f Mops/s  %7.1f MB/s  doorbells=%d coalesced-frames=%d data-frames=%d",
+	s := fmt.Sprintf("%-7s %-12s %4dB x%-6d  %6.3f Mops/s  %7.1f MB/s  doorbells=%d coalesced-frames=%d data-frames=%d",
 		r.Config, mode, r.Size, r.Count, r.MOpsS, r.GoodMB, r.Doorbells, r.CoalescedFrames, r.DataFrames)
+	if !r.passed() {
+		s += fmt.Sprintf("  FAILED ops=%d data-ok=%v", r.Failed, r.DataOK)
+	}
+	return s
 }
+
+func (r SmallOpResult) passed() bool { return r.Failed == 0 && r.DataOK }
 
 // tailSolicit marks the last operation of a batch Solicit so batch
 // completion costs one round trip instead of an AckDelay, in both
@@ -53,7 +64,9 @@ func tailSolicit(i, n int) frame.OpFlags {
 // RunSmallOps measures one-way small-write throughput on cfg. batch = 0
 // issues every operation eagerly (Do); batch > 0 routes them through
 // the submission queue, ringing the doorbell every batch posts and
-// draining the completion queue per batch.
+// draining the completion queue per batch. The first failed issue or
+// completion stops the run: the unfinished operations count as failed
+// and only completed ones count toward the rate.
 func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 	if batch > 0 {
 		cfg.Core.UseSQ = true
@@ -68,59 +81,50 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 	}
 	src := ep0.Alloc(size * lanes)
 	dst := ep1.Alloc(size * lanes)
+	faninFill(ep0.Mem()[src:src+uint64(size*lanes)], 5) // nonzero, so a lost write fails the byte check
 
 	var start, end sim.Time
 	var prev, net cluster.NetReport
+	completed := 0
 	cl.Env.Go("smallops", func(p *sim.Proc) {
 		// Warm up the path.
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		if doWait(p, c01, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}) != nil {
+			return
+		}
 		start = cl.Env.Now()
 		prev = cl.Collect()
-		if batch > 0 {
-			for done := 0; done < count; {
-				n := batch
-				if count-done < n {
-					n = count - done
-				}
-				for i := 0; i < n; i++ {
-					off := uint64(i * size)
-					c01.MustPost(core.Op{Remote: dst + off, Local: src + off, Size: size,
-						Kind: frame.OpWrite, Flags: tailSolicit(i, n)})
-				}
-				c01.MustRing(p)
-				for i := 0; i < n; i++ {
-					c01.WaitCQ(p)
-				}
-				done += n
+		hs := make([]*core.Handle, 0, lanes)
+		for bad := 0; completed < count && bad == 0; {
+			n := lanes
+			if count-completed < n {
+				n = count - completed
 			}
-		} else {
-			hs := make([]*core.Handle, 0, lanes)
-			for done := 0; done < count; {
-				n := lanes
-				if count-done < n {
-					n = count - done
-				}
-				for i := 0; i < n; i++ {
-					off := uint64(i * size)
-					hs = append(hs, c01.MustDo(p, core.Op{Remote: dst + off, Local: src + off, Size: size,
-						Kind: frame.OpWrite, Flags: tailSolicit(i, n)}))
-				}
-				for _, h := range hs {
-					h.Wait(p)
-				}
-				hs = hs[:0]
-				done += n
+			// The result reports the failed count only: it stays
+			// ==-comparable, so it keeps no error value.
+			if batch > 0 {
+				bad, _ = postBatch(p, c01, dst, src, size, n)
+			} else {
+				bad = doBatch(p, c01, hs, dst, src, size, n)
 			}
+			completed += n - bad
 		}
 		end = cl.Env.Now()
 		net = cl.Collect().Sub(prev)
 	})
 	cl.Env.RunUntil(600 * sim.Second)
-	r := SmallOpResult{Config: cfg.Name, Size: size, Count: count, Batch: batch}
+	r := SmallOpResult{Config: cfg.Name, Size: size, Count: count, Batch: batch, Failed: count - completed}
 	if elapsed := end - start; elapsed > 0 {
-		r.MOpsS = float64(count) / 1e6 / elapsed.Seconds()
-		r.GoodMB = float64(size*count) / 1e6 / elapsed.Seconds()
+		r.MOpsS = float64(completed) / 1e6 / elapsed.Seconds()
+		r.GoodMB = float64(size*completed) / 1e6 / elapsed.Seconds()
 	}
+	// Every batch writes the same source lanes, so after the run each
+	// touched destination lane must equal its source.
+	touched := lanes
+	if count < touched {
+		touched = count
+	}
+	nb := uint64(size * touched)
+	r.DataOK = bytes.Equal(ep1.Mem()[dst:dst+nb], ep0.Mem()[src:src+nb])
 	r.Doorbells = ep0.Stats.Doorbells
 	r.CoalescedFrames = ep0.Stats.CoalescedFrames
 	r.DataFrames = net.Proto.DataFramesSent
@@ -129,21 +133,27 @@ func RunSmallOps(cfg cluster.Config, size, count, batch int) SmallOpResult {
 
 // RenderSmallOps prints the eager-versus-batched small-op comparison on
 // the paper's 1L-10G configuration (the setup where host issue cost,
-// not the wire, bounds small-message rate). The results slice carries
-// one entry per run for bench-trajectory output.
-func RenderSmallOps(count int) (string, []SmallOpResult) {
+// not the wire, bounds small-message rate). ok is false if any run
+// failed an operation or corrupted data — the caller should exit
+// nonzero. The results slice carries one entry per run for
+// bench-trajectory output.
+func RenderSmallOps(count int) (out string, ok bool, results []SmallOpResult) {
 	var b strings.Builder
-	var results []SmallOpResult
 	fmt.Fprintf(&b, "Small-operation throughput, 1L-10G, %d one-way writes per run\n", count)
 	fmt.Fprintf(&b, "(batched = submission queue + doorbell batching + frame coalescing)\n\n")
+	ok = true
 	for _, size := range []int{16, 64, 256} {
 		eager := RunSmallOps(cluster.OneLink10G(2), size, count, 0)
 		sq := RunSmallOps(cluster.OneLink10G(2), size, count, 64)
 		results = append(results, eager, sq)
+		ok = ok && eager.passed() && sq.passed()
 		fmt.Fprintf(&b, "  %s\n  %s\n", eager, sq)
 		if eager.MOpsS > 0 {
 			fmt.Fprintf(&b, "  -> %.2fx op rate\n\n", sq.MOpsS/eager.MOpsS)
 		}
 	}
-	return b.String(), results
+	if !ok {
+		fmt.Fprintf(&b, "\nFAIL: a run failed operations or corrupted data\n")
+	}
+	return b.String(), ok, results
 }

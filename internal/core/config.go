@@ -154,8 +154,9 @@ type Config struct {
 	// tick bucket instead of O(conns) timer events. Firing times round
 	// up to the next tick boundary, which perturbs timer-paced schedules
 	// slightly, so 0 (plain heap timers, the pinned behavior) is the
-	// default. 50µs is a good value for fan-in runs: ~1% of AckDelay
-	// rounding error, and hundreds of conns share each bucket.
+	// default. 50µs is a good value for fan-in runs: at most a tenth of
+	// the default 500µs AckDelay in rounding error, and hundreds of conns
+	// share each bucket.
 	TimerWheelTick sim.Time
 	// Reconnect enables the supervised recovery layer: instead of a
 	// terminal Failed state, peer death parks the connection in

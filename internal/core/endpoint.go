@@ -199,19 +199,12 @@ type timer interface {
 	Pending() bool
 }
 
-// afterTimer schedules a protocol timer: through the endpoint's timer
-// wheel when Config.TimerWheelTick is set, else as a plain heap event.
-func (ep *Endpoint) afterTimer(d sim.Time, fn func()) timer {
-	if ep.wheel != nil {
-		return ep.wheel.After(d, fn)
-	}
-	return ep.env.After(d, fn)
-}
-
-// rearmTimer is afterTimer for periodically re-armed protocol timers:
-// on the heap backing it re-points the existing Timer handle in place
-// (sim.Env.Rearm) instead of allocating a fresh one per arm — the RTO
-// timer re-arms on every transmit, so this is a per-frame allocation.
+// rearmTimer schedules a periodically re-armed protocol timer: through
+// the endpoint's timer wheel when Config.TimerWheelTick is set, else on
+// the event heap, where it re-points the existing Timer handle in
+// place (sim.Env.Rearm) instead of allocating a fresh one per arm — the
+// RTO timer re-arms on every transmit, so that would be a per-frame
+// allocation.
 // The wheel backing has no in-place re-arm: each arm allocates a fresh
 // *sim.WheelTimer, and the stale one is skipped when its bucket fires.
 func (ep *Endpoint) rearmTimer(t timer, d sim.Time, fn func()) timer {
@@ -222,8 +215,9 @@ func (ep *Endpoint) rearmTimer(t timer, d sim.Time, fn func()) timer {
 	return ep.env.Rearm(st, d, fn)
 }
 
-// afterDaemonTimer is afterTimer with daemon semantics: the timer never
-// keeps a drained simulation alive (heartbeats, liveness guards).
+// afterDaemonTimer schedules a daemon protocol timer, wheel- or
+// heap-backed like rearmTimer: the timer never keeps a drained
+// simulation alive (heartbeats, liveness guards).
 func (ep *Endpoint) afterDaemonTimer(d sim.Time, fn func()) timer {
 	if ep.wheel != nil {
 		return ep.wheel.AfterDaemon(d, fn)

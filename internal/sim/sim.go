@@ -176,7 +176,7 @@ func (e *Env) Now() Time { return e.now }
 // It must only be used from inside the simulation (events or processes).
 func (e *Env) Rand() *rand.Rand { return e.rng }
 
-// Events reports how many events have executed so far.
+// Executed reports how many events have executed so far.
 func (e *Env) Executed() uint64 { return e.executed }
 
 func (e *Env) getEvent() *event {
