@@ -28,6 +28,11 @@
 //	-health-every-ms yes  yes     yes         yes     yes     no         no
 //	-bench-out      yes   yes     yes         yes     yes     yes        no
 //
+// Profiling composes with every mode:
+//
+//	-cpuprofile PATH   CPU profile of the whole run (go tool pprof)
+//	-memprofile PATH   heap profile taken when the run ends
+//
 // -trace and -metrics/-spans stay mutually exclusive (pick one
 // instrumentation). -metrics/-spans/-health-every-ms need -obs-out
 // PATH; -spans writes Chrome trace JSON there, -metrics adds a JSON
@@ -48,6 +53,7 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
+	"runtime/pprof"
 	"strconv"
 	"strings"
 
@@ -91,11 +97,13 @@ func main() {
 	config := flag.String("config", "1L-1G", "configuration for -one: 1L-1G, 2L-1G, 2Lu-1G or 1L-10G")
 	size := flag.Int("size", 65536, "transfer size in bytes for -one / -netstats / -ablate")
 	quick := flag.Bool("quick", false, "sweep fewer sizes")
-	doTrace := flag.Bool("trace", false, "only with -one (not -netstats/-ablate/-fig): print a frame-level trace summary and timeline; mutually exclusive with -metrics/-spans")
+	doTrace := flag.Bool("trace", false, "only with -one (not -netstats/-ablate/-fig): print the one-way protocol-traffic summary and 1-ms timeline from the endpoints' counters; mutually exclusive with -metrics/-spans")
 	metrics := flag.Bool("metrics", false, "with -one/-fanin/-crashloop/-chaos: collect the unified metrics registry and export it via -obs-out")
 	spans := flag.Bool("spans", false, "with -one/-fanin/-crashloop/-chaos: record causal operation spans and export a Chrome trace (Perfetto) via -obs-out")
 	obsOut := flag.String("obs-out", "", "output path for -metrics/-spans/-health-every-ms exports (-spans writes Chrome trace JSON here; -metrics writes the JSON snapshot plus a .prom sidecar; -health-every-ms writes a .health.json timeline)")
 	healthEveryMs := flag.Int("health-every-ms", 0, "with -one/-fanin/-crashloop/-chaos: sample per-endpoint health snapshots every N virtual milliseconds into <obs-out>.health.json")
+	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile of the run to this path (go tool pprof)")
+	memProfile := flag.String("memprofile", "", "write a heap profile, taken when the run ends, to this path (go tool pprof)")
 	benchOut := flag.String("bench-out", "", "with -one/-smallops/-fanin/-crashloop/-chaos: write a BENCH_<mode>.json perf-trajectory document (directory or .json path)")
 	flag.Parse()
 
@@ -127,6 +135,15 @@ func main() {
 		os.Exit(2)
 	}
 
+	// The profiles cover the whole run; exit writes them out before the
+	// process ends, on the failure paths too.
+	stopProfiles := startProfiles(*cpuProfile, *memProfile)
+	defer stopProfiles()
+	exit := func(code int) {
+		stopProfiles()
+		os.Exit(code)
+	}
+
 	obsOpts := cluster.ObsOptions{Metrics: *metrics, Spans: *spans, HealthEvery: healthEvery}
 
 	// exportObs writes the registry (and health timeline) per -obs-out.
@@ -139,7 +156,7 @@ func main() {
 			fs, err := r.WriteFiles(*obsOut, *metrics, *spans)
 			if err != nil {
 				fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			files = fs
 		}
@@ -150,7 +167,7 @@ func main() {
 			}
 			if err := os.WriteFile(hp, obs.HealthTimelineJSON(r.HealthLogs()), 0o644); err != nil {
 				fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
-				os.Exit(1)
+				exit(1)
 			}
 			files = append(files, hp)
 		}
@@ -167,7 +184,7 @@ func main() {
 		p := *obsOut + ".postmortem.json"
 		if err := os.WriteFile(p, d.JSON(), 0o644); err != nil {
 			fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("  obs: wrote %s\n", p)
 	}
@@ -184,7 +201,7 @@ func main() {
 		}
 		if err := d.WriteFile(path); err != nil {
 			fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
-			os.Exit(1)
+			exit(1)
 		}
 		fmt.Printf("  bench: wrote %s\n", path)
 	}
@@ -248,13 +265,13 @@ func main() {
 		}
 		writeBench(stampAllocs(doc))
 		if !ok {
-			os.Exit(1)
+			exit(1)
 		}
 	case *faninFlag:
 		counts, err := parseConns(*faninConns)
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "medbench: -fanin-conns: %v\n", err)
-			os.Exit(2)
+			exit(2)
 		}
 		if *quick {
 			max := 64
@@ -280,7 +297,7 @@ func main() {
 			}
 		}
 		if !ok {
-			os.Exit(1)
+			exit(1)
 		}
 	case *serveFlag:
 		clients := *serveClients
@@ -301,7 +318,7 @@ func main() {
 			}
 		}
 		if !ok {
-			os.Exit(1)
+			exit(1)
 		}
 	case *incastFlag:
 		senders := *incastSenders
@@ -327,7 +344,7 @@ func main() {
 			exportDump(r.Dump)
 		}
 		if !ok {
-			os.Exit(1)
+			exit(1)
 		}
 	case *noisyFlag:
 		ops := *noisyOps
@@ -348,7 +365,7 @@ func main() {
 			}
 		}
 		if !ok {
-			os.Exit(1)
+			exit(1)
 		}
 	case *crashloop:
 		cycles := *crashCycles
@@ -369,7 +386,7 @@ func main() {
 			}
 		}
 		if !ok {
-			os.Exit(1)
+			exit(1)
 		}
 	case *chaosFlag:
 		transfers := 30
@@ -398,10 +415,15 @@ func main() {
 		cfg, ok := configByName(*config)
 		if !ok {
 			fmt.Fprintf(os.Stderr, "medbench: unknown configuration %q\n", *config)
-			os.Exit(2)
+			exit(2)
 		}
 		if *doTrace {
-			fmt.Print(bench.RunTracedOneWay(cfg, *size))
+			out, err := bench.RunTracedOneWay(cfg, *size)
+			if err != nil {
+				fmt.Fprintln(os.Stderr, "medbench:", err)
+				exit(1)
+			}
+			fmt.Print(out)
 			return
 		}
 		cfg.Obs = obsOpts
@@ -416,7 +438,7 @@ func main() {
 		writeBench(doc)
 	default:
 		flag.Usage()
-		os.Exit(2)
+		exit(2)
 	}
 }
 
@@ -494,6 +516,49 @@ func renderChaos(seeds, transfers int, obsOpts cluster.ObsOptions) (string, []be
 		lastArt = dumpArt
 	}
 	return b.String(), rows, lastArt
+}
+
+// startProfiles starts the -cpuprofile CPU profile and returns the
+// function that stops it and writes the -memprofile heap profile. A
+// profile that cannot be written exits 1.
+func startProfiles(cpuPath, memPath string) (stop func()) {
+	fail := func(err error) {
+		fmt.Fprintf(os.Stderr, "medbench: %v\n", err)
+		os.Exit(1)
+	}
+	var cpu *os.File
+	if cpuPath != "" {
+		f, err := os.Create(cpuPath)
+		if err != nil {
+			fail(err)
+		}
+		if err := pprof.StartCPUProfile(f); err != nil {
+			fail(err)
+		}
+		cpu = f
+	}
+	return func() {
+		if cpu != nil {
+			pprof.StopCPUProfile()
+			if err := cpu.Close(); err != nil {
+				fail(err)
+			}
+		}
+		if memPath == "" {
+			return
+		}
+		f, err := os.Create(memPath)
+		if err != nil {
+			fail(err)
+		}
+		runtime.GC() // up-to-date in-use figures
+		if err := pprof.WriteHeapProfile(f); err != nil {
+			fail(err)
+		}
+		if err := f.Close(); err != nil {
+			fail(err)
+		}
+	}
 }
 
 // parseConns parses the -fanin-conns list.

@@ -1,13 +1,16 @@
-// Tracing: the frame-level analysis behind the paper's network-traffic
-// results. A striped transfer over two lossy links is traced at both
-// endpoints; the run prints per-kind event counts, a bucketed timeline,
-// a sampled throughput series, and operation progress polling.
+// Tracing: the traffic analysis behind the paper's network-traffic
+// results, rendered from the endpoints' protocol counters. A striped
+// transfer over two lossy links prints operation progress polling,
+// per-endpoint traffic totals, a bucketed traffic timeline and a
+// sampled throughput series.
 package main
 
 import (
 	"fmt"
+	"os"
 
 	"multiedge"
+	"multiedge/internal/bench"
 	"multiedge/internal/trace"
 )
 
@@ -18,13 +21,12 @@ func main() {
 	c01, _ := cl.Pair()
 	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
 
-	tr := trace.New(cl.Env, 1<<16)
-	ep1.SetTrace(tr)
-	ep0.SetTrace(trace.New(cl.Env, 1<<16))
-
 	const n = 2 << 20
 	src := ep0.Alloc(n)
 	dst := ep1.Alloc(n)
+
+	// Bucket the pair's traffic every 2 ms until the transfer completes.
+	tl := bench.NewTrafficTimeline(cl.Env, 2*multiedge.Millisecond, ep0, ep1)
 
 	// Sample receive throughput (MB/s) every 250 us for 15 ms.
 	var lastBytes uint64
@@ -36,20 +38,31 @@ func main() {
 			return mbps
 		})
 
+	var err error
 	cl.Env.Go("xfer", func(p *multiedge.Proc) {
-		h := c01.MustDo(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
+		defer tl.Stop()
+		h, derr := c01.Do(p, multiedge.Op{Remote: dst, Local: src, Size: n, Kind: multiedge.OpWrite})
+		if derr != nil {
+			err = derr
+			return
+		}
 		for !h.Test() {
 			done, total := h.Progress()
 			fmt.Printf("[%v] progress %d/%d bytes acknowledged\n", cl.Env.Now(), done, total)
 			p.Sleep(3 * multiedge.Millisecond)
 		}
+		err = h.Err()
 	})
 	cl.Env.Run()
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "tracing: transfer failed:", err)
+		os.Exit(1)
+	}
 
 	fmt.Println()
-	fmt.Print("receiver ", tr.Summary())
-	fmt.Println("\nreceiver timeline (2 ms buckets):")
-	fmt.Print(tr.Timeline(2 * multiedge.Millisecond))
+	fmt.Print(bench.TrafficSummary([]string{"sender", "receiver"}, ep0, ep1))
+	fmt.Println("\ntraffic timeline (2 ms buckets, sender+receiver):")
+	fmt.Print(tl.Render())
 	fmt.Println("\nreceive throughput over time (MB/s):")
 	fmt.Print(sampler.S.Render(64, 6))
 }

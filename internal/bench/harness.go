@@ -253,17 +253,15 @@ func (h *harness) arrive(p *sim.Proc) {
 	p.Wait(&h.released)
 }
 
-// drain runs the simulation out and returns the end time. With a
-// registry attached it runs to live-drain and quiesces: RunUntil would
-// march the samplers' daemon ticks to the horizon, and a still-armed
-// tick would trip the leak gates. Otherwise it runs to the horizon.
+// drain runs the simulation out and returns the end time: to
+// live-drain, then quiesces the registry (when one is attached) so its
+// samplers stop ticking, then on to the horizon so the protocol's
+// daemon liveness timers (heartbeats to a dead peer) fail and release
+// the conns they watch before the leak gates look.
 func (h *harness) drain(horizon sim.Time) sim.Time {
-	if h.cl.Obs == nil {
-		return h.cl.Env.RunUntil(horizon)
-	}
-	end := h.cl.Env.Run()
+	h.cl.Env.Run()
 	h.cl.Obs.Quiesce()
-	return end
+	return h.cl.Env.RunUntil(horizon)
 }
 
 // summary derives the latency summary from ops completed operations of

@@ -12,7 +12,6 @@ import (
 	"multiedge/internal/frame"
 	"multiedge/internal/obs"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // MicroResult is one micro-benchmark measurement point.
@@ -297,25 +296,29 @@ func RunTreeCrossPair(size int) float64 {
 	return float64(size*count) / 1e6 / (end - start).Seconds()
 }
 
-// RunTracedOneWay runs a one-way transfer with frame-level tracing
-// attached to both endpoints and renders the receive-side summary and a
-// 1-ms-bucket timeline (the paper's traffic-over-time analysis).
-func RunTracedOneWay(cfg cluster.Config, size int) string {
+// RunTracedOneWay runs a one-way transfer and renders the protocol
+// traffic of both endpoints from their core.Stats: each endpoint's
+// totals, then the pair's traffic in 1-ms buckets over the transfer
+// (the paper's traffic-over-time analysis).
+func RunTracedOneWay(cfg cluster.Config, size int) (string, error) {
 	cfg.Nodes = 2
 	cl := cluster.New(cfg)
 	c01, _ := cl.Pair()
-	tr0 := trace.New(cl.Env, 1<<16)
-	tr1 := trace.New(cl.Env, 1<<16)
-	cl.Nodes[0].EP.SetTrace(tr0)
-	cl.Nodes[1].EP.SetTrace(tr1)
-	src := cl.Nodes[0].EP.Alloc(size)
-	dst := cl.Nodes[1].EP.Alloc(size)
+	ep0, ep1 := cl.Nodes[0].EP, cl.Nodes[1].EP
+	src := ep0.Alloc(size)
+	dst := ep1.Alloc(size)
+	tl := NewTrafficTimeline(cl.Env, sim.Millisecond, ep0, ep1)
+	var err error
 	cl.Env.Go("xfer", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite}).Wait(p)
+		err = doWait(p, c01, core.Op{Remote: dst, Local: src, Size: size, Kind: frame.OpWrite})
+		tl.Stop()
 	})
 	cl.Env.RunUntil(600 * sim.Second)
-	return "sender " + tr0.Summary() + "receiver " + tr1.Summary() +
-		"\nreceiver timeline (1 ms buckets)\n" + tr1.Timeline(sim.Millisecond)
+	if err != nil {
+		return "", fmt.Errorf("traced one-way: %w", err)
+	}
+	return TrafficSummary([]string{"sender", "receiver"}, ep0, ep1) +
+		"\ntraffic timeline (1 ms buckets, sender+receiver)\n" + tl.Render(), nil
 }
 
 // LinkFailureResult summarizes one hard-link-failure run.

@@ -3,6 +3,7 @@ package bench
 import (
 	"testing"
 
+	"multiedge/internal/cluster"
 	"multiedge/internal/sim"
 )
 
@@ -68,5 +69,22 @@ func TestServeDeterministic(t *testing.T) {
 	if a.Net != b.Net || a.Elapsed != b.Elapsed || a.Ops != b.Ops ||
 		a.Failovers != b.Failovers || a.JournaledOps != b.JournaledOps {
 		t.Fatalf("serve not deterministic:\n  %s\n  %s", a, b)
+	}
+}
+
+// TestServeKillWithMetricsLeakFree: attaching a metrics registry must
+// not change the kill run's leak verdict. The drain has to run past
+// live-drain with the registry on too, or the killed backend's liveness
+// timers never fire and the conns to it read as leaked.
+func TestServeKillWithMetricsLeakFree(t *testing.T) {
+	o := ServeOptions{Clients: 64, OpsPerClient: 4, Size: 1024, Seed: 7,
+		Obs: cluster.ObsOptions{Metrics: true}}
+	base := RunServe(o)
+	if !base.DataOK || !base.LeakFree() {
+		t.Fatalf("baseline with metrics failed: %s", base)
+	}
+	o.KillAt = base.Elapsed / 2
+	if r := RunServe(o); !r.DataOK || !r.LeakFree() {
+		t.Fatalf("kill run with metrics failed its gates: %s", r)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Conn is one end of a MultiEdge point-to-point connection. All
@@ -777,7 +776,6 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 		if c.ep.cfg.ccOn() {
 			c.ccRetxSent++
 		}
-		c.ep.trc(c.localID, trace.TxRetransmit, tf.seq, len(tf.payload))
 	} else {
 		if c.inflight() == 1 {
 			// Sole outstanding frame: a fresh burst after an idle gap.
@@ -785,7 +783,6 @@ func (c *Conn) transmit(tf *txFrame, isRetrans bool) {
 			// last acknowledgement of the previous burst.
 			c.lastProgress = c.ep.env.Now()
 		}
-		c.ep.trc(c.localID, trace.TxData, tf.seq, len(tf.payload))
 	}
 	li := -1 // normal round-robin pick
 	if tf.op.probe && !isRetrans {
@@ -944,14 +941,12 @@ func (c *Conn) sendCtrl() {
 		pl := c.nackScratch
 		c.nackDue = nil
 		c.ep.Stats.CtrlNacksSent++
-		c.ep.trc(c.localID, trace.TxNack, c.rcvNxt, len(pl))
 		c.sendFrame(&h, pl)
 		return
 	}
 	if c.ackDue {
 		h := frame.Header{Type: frame.TypeAck, ConnID: c.remoteID, Ack: c.rcvNxt, HasAck: true}
 		c.ep.Stats.CtrlAcksSent++
-		c.ep.trc(c.localID, trace.TxAck, c.rcvNxt, 0)
 		c.sendFrame(&h, nil)
 	}
 }
@@ -991,7 +986,6 @@ func (c *Conn) noteLinkRepair(li int) {
 		c.linkDeadAt[li] = c.ep.env.Now()
 		c.deadLinks++
 		c.ep.Stats.LinkDeadEvents++
-		c.ep.trc(c.localID, trace.LinkDead, uint32(li), 0)
 		c.ep.recEvent(c.localID, obs.RecLinkDead, int64(li), int64(c.deadLinks))
 		c.armProbeTimer()
 	}
@@ -1011,7 +1005,6 @@ func (c *Conn) clearLinkFault(li int, sentAt sim.Time) {
 		c.linkDead[li] = false
 		c.deadLinks--
 		c.ep.Stats.LinkRestores++
-		c.ep.trc(c.localID, trace.LinkRestore, uint32(li), 0)
 		c.ep.recEvent(c.localID, obs.RecLinkRestore, int64(li), int64(c.deadLinks))
 	}
 }
@@ -1531,7 +1524,6 @@ func (c *Conn) failConn(cause error, sendReset bool) {
 	c.failErr = cause
 	c.closed = true
 	ep.Stats.PeerDeadEvents++
-	ep.trc(c.localID, trace.PeerDead, 0, 0)
 	ep.recEvent(c.localID, obs.RecFailed, int64(c.expiries), int64(c.inflight()))
 	c.stopTimers()
 	c.stopCloseTimer()
@@ -1728,7 +1720,6 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 			// copy is dropped here, before the ordering/apply machinery.
 			ep.Stats.DupFramesDropped++
 		}
-		ep.trc(c.localID, trace.RxDuplicate, seq, len(payload))
 		// The sender is resending: our ACKs — and possibly our NACKs —
 		// were lost. Re-advertise both promptly so repair converges.
 		if c.missingSince.size() > 0 {
@@ -1743,7 +1734,6 @@ func (c *Conn) handleData(h frame.Header, payload []byte, link int) {
 	ep.Stats.Arrivals++
 	if int32(c.maxSeenPlus1-seq) > 0 {
 		ep.Stats.OOOArrivals++
-		ep.trc(c.localID, trace.RxOutOfOrder, seq, len(payload))
 	} else {
 		// In-order extension: any sequence numbers it skips over become
 		// missing as of now (bounded by the tracked-gap cap).
@@ -1950,7 +1940,6 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 	ep := c.ep
 	ep.Stats.DataFramesRecv++
 	ep.Stats.DataBytesRecv += uint64(len(payload))
-	ep.trc(c.localID, trace.RxData, h.Seq, len(payload))
 	if ep.cfg.Strict {
 		if h.Seq == c.applyNxt {
 			c.applyFrame(h, payload)
@@ -1967,12 +1956,7 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 			}
 		} else {
 			c.strictBuf.put(h.Seq, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
-			ep.Stats.HeldFrames++
-			ep.trc(c.localID, trace.RxHeld, h.Seq, len(payload))
-			c.noteHold(h, payload)
-			if n := c.strictBuf.size(); n > ep.Stats.HoldMax {
-				ep.Stats.HoldMax = n
-			}
+			c.noteHold(h, payload, c.strictBuf.size())
 		}
 		return
 	}
@@ -1986,12 +1970,7 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 				c.applyFrame(sh.h, sh.payload)
 			} else {
 				c.held = append(c.held, heldFrame{h: sh.h, payload: heldCopy(sh.payload), heldAt: ep.env.Now()})
-				ep.Stats.HeldFrames++
-				ep.trc(c.localID, trace.RxHeld, sh.h.Seq, len(sh.payload))
-				c.noteHold(sh.h, sh.payload)
-				if n := len(c.held); n > ep.Stats.HoldMax {
-					ep.Stats.HoldMax = n
-				}
+				c.noteHold(sh.h, sh.payload, len(c.held))
 			}
 		}
 		c.drainHeld()
@@ -2003,12 +1982,7 @@ func (c *Conn) acceptData(h frame.Header, payload []byte) {
 		c.drainHeld()
 	} else {
 		c.held = append(c.held, heldFrame{h: h, payload: heldCopy(payload), heldAt: ep.env.Now()})
-		ep.Stats.HeldFrames++
-		ep.trc(c.localID, trace.RxHeld, h.Seq, len(payload))
-		c.noteHold(h, payload)
-		if n := len(c.held); n > ep.Stats.HoldMax {
-			ep.Stats.HoldMax = n
-		}
+		c.noteHold(h, payload, len(c.held))
 	}
 }
 
@@ -2046,9 +2020,15 @@ func (c *Conn) fanoutMulti(h frame.Header, payload []byte) []heldFrame {
 	return out
 }
 
-// noteHold records a receive-side stall (ordering or fence) in the
-// frame's span.
-func (c *Conn) noteHold(h frame.Header, payload []byte) {
+// noteHold accounts one frame buffered awaiting ordering or fences:
+// the held-frame counter, the peak buffer depth (held frames now
+// buffered, this one included) and the stall event in the frame's span.
+func (c *Conn) noteHold(h frame.Header, payload []byte, held int) {
+	st := &c.ep.Stats
+	st.HeldFrames++
+	if held > st.HoldMax {
+		st.HoldMax = held
+	}
 	if sp := c.frameSpan(h.OpType, h.OpID, h.Local); sp != nil {
 		sp.Event(c.ep.env.Now(), obs.EvRxHold, c.ep.node, -1, h.Seq, len(payload))
 	}

@@ -3,7 +3,6 @@ package core_test
 import (
 	"bytes"
 	"fmt"
-	"strings"
 	"testing"
 	"testing/quick"
 
@@ -12,7 +11,6 @@ import (
 	"multiedge/internal/frame"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // pairCluster builds a 2-node cluster with the given tweaks applied.
@@ -906,45 +904,6 @@ func TestRegistrationNotRequiredForReceive(t *testing.T) {
 	cl.Env.RunUntil(sim.Second)
 	if !done {
 		t.Fatal("write to unregistered receive buffer failed")
-	}
-}
-
-func TestTraceCapturesProtocolEvents(t *testing.T) {
-	cfg := cluster.TwoLinkUnordered1G(0)
-	cfg.Link.LossProb = 0.03
-	cfg.Seed = 21
-	cl, c01, _ := pairCluster(t, cfg)
-	tr0 := trace.New(cl.Env, 1<<14)
-	tr1 := trace.New(cl.Env, 1<<14)
-	cl.Nodes[0].EP.SetTrace(tr0)
-	cl.Nodes[1].EP.SetTrace(tr1)
-	const n = 256 * 1024
-	src := cl.Nodes[0].EP.Alloc(n)
-	dst := cl.Nodes[1].EP.Alloc(n)
-	cl.Env.Go("app", func(p *sim.Proc) {
-		c01.MustDo(p, core.Op{Remote: dst, Local: src, Size: n, Kind: frame.OpWrite}).Wait(p)
-	})
-	cl.Env.RunUntil(30 * sim.Second)
-	if tr0.Count(trace.TxData) == 0 {
-		t.Error("no tx-data events traced")
-	}
-	if tr0.Count(trace.TxRetransmit) == 0 {
-		t.Error("no retransmissions traced despite loss")
-	}
-	if tr1.Count(trace.RxData) == 0 || tr1.Count(trace.RxOutOfOrder) == 0 {
-		t.Error("receive-side events missing")
-	}
-	// Cross-check trace against protocol counters.
-	if tr0.Count(trace.TxRetransmit) != cl.Nodes[0].EP.Stats.Retransmissions {
-		t.Errorf("trace retransmits %d != stats %d",
-			tr0.Count(trace.TxRetransmit), cl.Nodes[0].EP.Stats.Retransmissions)
-	}
-	if tr1.Count(trace.RxOutOfOrder) != cl.Nodes[1].EP.Stats.OOOArrivals {
-		t.Errorf("trace OOO %d != stats %d",
-			tr1.Count(trace.RxOutOfOrder), cl.Nodes[1].EP.Stats.OOOArrivals)
-	}
-	if !strings.Contains(tr1.Summary(), "rx-ooo") {
-		t.Error("summary rendering broken")
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 	"multiedge/internal/obs"
 	"multiedge/internal/phys"
 	"multiedge/internal/sim"
-	"multiedge/internal/trace"
 )
 
 // Endpoint is one node's instance of the MultiEdge protocol layer: the
@@ -61,8 +60,6 @@ type Endpoint struct {
 	regions []memRegion // registered memory (EnforceRegistration)
 
 	engine *sim.Resource // NIC protocol engine (Config.Offload)
-
-	tracer *trace.Trace // optional frame-level event trace
 
 	rec *obs.Recorder // optional flight recorder (nil = off)
 
@@ -257,18 +254,6 @@ func (ep *Endpoint) removeConn(c *Conn) {
 // ActiveConns returns how many connections the endpoint currently
 // carries (closed and failed conns are removed from the table).
 func (ep *Endpoint) ActiveConns() int { return ep.conns.len() }
-
-// SetTrace attaches a frame-level event trace (nil disables). Tracing
-// records transmit/receive/reorder/retransmission events for the
-// paper-style network-traffic analysis.
-func (ep *Endpoint) SetTrace(t *trace.Trace) { ep.tracer = t }
-
-// trc records one trace event if tracing is enabled.
-func (ep *Endpoint) trc(conn uint32, k trace.Kind, seq uint32, n int) {
-	if ep.tracer != nil {
-		ep.tracer.Add(ep.node, conn, k, seq, n)
-	}
-}
 
 // SetRecorder attaches a flight recorder (nil disables). Recording is a
 // nil-checked store into a preallocated ring — no allocation, no RNG,
@@ -697,7 +682,6 @@ func (ep *Endpoint) Dial(p *sim.Proc, remoteNode int, links int) *Conn {
 				remoteNode, attempts, ErrPeerDead)
 			c.closed = true
 			ep.Stats.PeerDeadEvents++
-			ep.trc(c.localID, trace.PeerDead, 0, 0)
 			ep.recEvent(c.localID, obs.RecFailed, int64(attempts), 0)
 			ep.removeConn(c)
 			c.established.Fire(ep.env)

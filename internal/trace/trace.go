@@ -1,9 +1,10 @@
-// Package trace provides the frame-level tracing and time-series
-// sampling behind the paper's network-traffic analysis (IPPS'07
+// Package trace provides the time-series sampling and latency
+// percentiles behind the paper's network-traffic analysis (IPPS'07
 // contribution (iii): "detailed analysis of edge-based protocols ...
-// network traffic"). A Trace records per-frame protocol events into a
-// bounded ring; a Sampler turns any instantaneous metric into a time
-// series. Both render as text.
+// network traffic"). A Sampler turns any instantaneous metric into a
+// time series that renders as a text chart; a LatencyRecorder reports
+// exact operation-latency percentiles. Per-frame protocol traffic is
+// counted once, in core.Stats, and rendered from there.
 package trace
 
 import (
@@ -14,160 +15,6 @@ import (
 
 	"multiedge/internal/sim"
 )
-
-// Kind classifies a protocol event.
-type Kind uint8
-
-// Protocol event kinds.
-const (
-	kindUnknown Kind = iota // clamp target for out-of-range kinds
-	TxData
-	TxRetransmit
-	TxAck
-	TxNack
-	RxData
-	RxDuplicate
-	RxOutOfOrder
-	RxHeld      // buffered awaiting ordering or fences
-	LinkDead    // sender declared a link dead (seq field = link index)
-	LinkRestore // sender re-admitted a dead link (seq field = link index)
-	PeerDead    // conn transitioned to Failed: retry budget or liveness exhausted
-	kindCount
-)
-
-var kindNames = [kindCount]string{
-	kindUnknown: "unknown",
-	TxData:      "tx-data", TxRetransmit: "tx-retrans", TxAck: "tx-ack",
-	TxNack: "tx-nack", RxData: "rx-data", RxDuplicate: "rx-dup",
-	RxOutOfOrder: "rx-ooo", RxHeld: "rx-held",
-	LinkDead: "link-dead", LinkRestore: "link-restore",
-	PeerDead: "peer-dead",
-}
-
-func (k Kind) String() string {
-	if int(k) < len(kindNames) && kindNames[k] != "" {
-		return kindNames[k]
-	}
-	return fmt.Sprintf("Kind(%d)", uint8(k))
-}
-
-// Event is one protocol event.
-type Event struct {
-	At   sim.Time
-	Node int
-	Conn uint32
-	Kind Kind
-	Seq  uint32
-	Len  int
-}
-
-// Trace is a bounded ring of events. The zero value is unusable; create
-// with New.
-type Trace struct {
-	env     *sim.Env
-	events  []Event
-	next    int
-	wrapped bool
-	counts  [kindCount]uint64
-	bytes   [kindCount]uint64
-	first   sim.Time
-	last    sim.Time
-}
-
-// New creates a trace retaining up to cap events (older events fall off
-// but the aggregate counters keep counting).
-func New(env *sim.Env, cap int) *Trace {
-	if cap <= 0 {
-		cap = 1 << 14
-	}
-	return &Trace{env: env, events: make([]Event, cap), first: -1}
-}
-
-// Add records one event. An out-of-range kind is clamped to the unknown
-// slot (0) rather than corrupting a neighbouring counter or panicking:
-// traces may be fed by future frame kinds the build does not know.
-func (t *Trace) Add(node int, conn uint32, kind Kind, seq uint32, n int) {
-	if kind >= kindCount {
-		kind = kindUnknown
-	}
-	at := t.env.Now()
-	if t.first < 0 {
-		t.first = at
-	}
-	t.last = at
-	t.counts[kind]++
-	t.bytes[kind] += uint64(n)
-	t.events[t.next] = Event{At: at, Node: node, Conn: conn, Kind: kind, Seq: seq, Len: n}
-	t.next++
-	if t.next == len(t.events) {
-		t.next = 0
-		t.wrapped = true
-	}
-}
-
-// Count returns the total number of events of a kind (including ones
-// that fell off the ring).
-func (t *Trace) Count(k Kind) uint64 { return t.counts[k] }
-
-// Events returns the retained events, oldest first.
-func (t *Trace) Events() []Event {
-	if !t.wrapped {
-		return append([]Event(nil), t.events[:t.next]...)
-	}
-	out := make([]Event, 0, len(t.events))
-	out = append(out, t.events[t.next:]...)
-	out = append(out, t.events[:t.next]...)
-	return out
-}
-
-// Summary renders aggregate counters.
-func (t *Trace) Summary() string {
-	var b strings.Builder
-	fmt.Fprintf(&b, "trace: %v .. %v\n", t.first, t.last)
-	for k := Kind(0); k < kindCount; k++ {
-		if t.counts[k] == 0 {
-			continue
-		}
-		fmt.Fprintf(&b, "  %-11s %8d events %12d bytes\n", k, t.counts[k], t.bytes[k])
-	}
-	return b.String()
-}
-
-// Timeline renders retained events bucketed by the given interval: one
-// row per bucket with per-kind counts — a text version of the paper's
-// traffic-over-time analysis.
-func (t *Trace) Timeline(bucket sim.Time) string {
-	evs := t.Events()
-	if len(evs) == 0 {
-		return "trace: no events\n"
-	}
-	var b strings.Builder
-	fmt.Fprintf(&b, "%12s", "t")
-	for k := Kind(1); k < kindCount; k++ {
-		fmt.Fprintf(&b, "%11s", k)
-	}
-	fmt.Fprintln(&b)
-	start := evs[0].At / bucket * bucket
-	var row [kindCount]int
-	flush := func(at sim.Time) {
-		fmt.Fprintf(&b, "%12v", at)
-		for k := Kind(1); k < kindCount; k++ {
-			fmt.Fprintf(&b, "%11d", row[k])
-		}
-		fmt.Fprintln(&b)
-		row = [kindCount]int{}
-	}
-	cur := start
-	for _, ev := range evs {
-		for ev.At >= cur+bucket {
-			flush(cur)
-			cur += bucket
-		}
-		row[ev.Kind]++
-	}
-	flush(cur)
-	return b.String()
-}
 
 // Series is a sampled time series.
 type Series struct {

@@ -8,75 +8,6 @@ import (
 	"multiedge/internal/sim"
 )
 
-func TestTraceRecordAndSummary(t *testing.T) {
-	e := sim.NewEnv(1)
-	tr := New(e, 100)
-	e.After(10, func() { tr.Add(0, 1, TxData, 5, 1444) })
-	e.After(20, func() { tr.Add(1, 1, RxData, 5, 1444) })
-	e.After(30, func() { tr.Add(1, 1, RxOutOfOrder, 7, 1444) })
-	e.Run()
-	if tr.Count(TxData) != 1 || tr.Count(RxData) != 1 || tr.Count(RxOutOfOrder) != 1 {
-		t.Fatalf("counts wrong: %d %d %d", tr.Count(TxData), tr.Count(RxData), tr.Count(RxOutOfOrder))
-	}
-	evs := tr.Events()
-	if len(evs) != 3 || evs[0].At != 10 || evs[2].Kind != RxOutOfOrder {
-		t.Fatalf("events = %+v", evs)
-	}
-	s := tr.Summary()
-	for _, want := range []string{"tx-data", "rx-data", "rx-ooo", "1444"} {
-		if !strings.Contains(s, want) {
-			t.Errorf("summary missing %q:\n%s", want, s)
-		}
-	}
-}
-
-func TestTraceRingWrap(t *testing.T) {
-	e := sim.NewEnv(1)
-	tr := New(e, 4)
-	e.After(0, func() {
-		for i := 0; i < 10; i++ {
-			tr.Add(0, 1, TxData, uint32(i), 10)
-		}
-	})
-	e.Run()
-	evs := tr.Events()
-	if len(evs) != 4 {
-		t.Fatalf("retained %d events, want 4", len(evs))
-	}
-	if evs[0].Seq != 6 || evs[3].Seq != 9 {
-		t.Fatalf("retained wrong window: %+v", evs)
-	}
-	if tr.Count(TxData) != 10 {
-		t.Errorf("aggregate count = %d, want 10 (counts survive eviction)", tr.Count(TxData))
-	}
-}
-
-func TestTimeline(t *testing.T) {
-	e := sim.NewEnv(1)
-	tr := New(e, 100)
-	e.After(5, func() { tr.Add(0, 1, TxData, 1, 100) })
-	e.After(15, func() { tr.Add(0, 1, TxData, 2, 100) })
-	e.After(16, func() { tr.Add(0, 1, TxRetransmit, 1, 100) })
-	e.Run()
-	out := tr.Timeline(10)
-	lines := strings.Split(strings.TrimSpace(out), "\n")
-	if len(lines) != 3 { // header + 2 buckets
-		t.Fatalf("timeline:\n%s", out)
-	}
-	if !strings.Contains(lines[0], "tx-retrans") {
-		t.Error("timeline header missing kinds")
-	}
-}
-
-func TestKindString(t *testing.T) {
-	if TxData.String() != "tx-data" || RxHeld.String() != "rx-held" {
-		t.Error("kind names wrong")
-	}
-	if Kind(77).String() == "" {
-		t.Error("unknown kind empty")
-	}
-}
-
 func TestSampler(t *testing.T) {
 	e := sim.NewEnv(1)
 	v := 0.0
@@ -112,58 +43,6 @@ func TestSeriesRender(t *testing.T) {
 	}
 	if (&Series{}).Render(10, 3) == "" {
 		t.Error("empty render empty")
-	}
-}
-
-func TestZeroCapDefault(t *testing.T) {
-	e := sim.NewEnv(1)
-	tr := New(e, 0)
-	e.After(0, func() { tr.Add(0, 0, TxData, 0, 0) })
-	e.Run()
-	if len(tr.Events()) != 1 {
-		t.Error("default-capacity trace broken")
-	}
-}
-
-// TestTraceRingProperty: for any capacity and any number of recorded
-// events, the ring retains exactly min(total, cap) events, returns them
-// oldest-first with monotonically non-decreasing timestamps, keeps the
-// newest events (the retained suffix of the full sequence), and the
-// aggregate counters still see everything that fell off.
-func TestTraceRingProperty(t *testing.T) {
-	prop := func(capRaw uint8, totalRaw uint16) bool {
-		capacity := int(capRaw)%64 + 1
-		total := int(totalRaw) % 300
-		env := sim.NewEnv(1)
-		tr := New(env, capacity)
-		for i := 0; i < total; i++ {
-			i := i
-			env.After(sim.Time(i+1)*sim.Microsecond, func() {
-				tr.Add(0, 0, TxData, uint32(i), i)
-			})
-		}
-		env.Run()
-		evs := tr.Events()
-		want := total
-		if want > capacity {
-			want = capacity
-		}
-		if len(evs) != want {
-			return false
-		}
-		for j, e := range evs {
-			// The retained events are the last `want` of the sequence.
-			if e.Seq != uint32(total-want+j) {
-				return false
-			}
-			if j > 0 && e.At < evs[j-1].At {
-				return false
-			}
-		}
-		return tr.Count(TxData) == uint64(total)
-	}
-	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
-		t.Error(err)
 	}
 }
 
@@ -235,30 +114,6 @@ func TestLatencyRecorderProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestAddClampsOutOfRangeKind(t *testing.T) {
-	e := sim.NewEnv(1)
-	tr := New(e, 16)
-	e.After(10, func() {
-		tr.Add(0, 1, Kind(200), 3, 50) // way past kindCount
-		tr.Add(0, 1, kindCount, 4, 60) // first out-of-range value
-		tr.Add(0, 1, TxData, 5, 70)
-	})
-	e.Run()
-	if got := tr.Count(kindUnknown); got != 2 {
-		t.Fatalf("unknown count = %d, want 2 (clamped events)", got)
-	}
-	if got := tr.Count(TxData); got != 1 {
-		t.Fatalf("tx-data count = %d, want 1 (clamp must not bleed into neighbours)", got)
-	}
-	evs := tr.Events()
-	if len(evs) != 3 || evs[0].Kind != kindUnknown || evs[1].Kind != kindUnknown {
-		t.Fatalf("events = %+v", evs)
-	}
-	if s := tr.Summary(); !strings.Contains(s, "unknown") {
-		t.Errorf("summary hides clamped events:\n%s", s)
 	}
 }
 
